@@ -23,7 +23,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,11 +50,13 @@ from .dataset import (
 )
 from .detectors import DetectorConfig, fit as fit_detector, score as score_detector
 from .ensemble import PredictionMatrix, consensus
-from .metrics import class_metrics, confusion, macro_f1
+from .metrics import confusion, mean_std, metric_row
 from .seeding import derive_seed
 from .supervised import (
+    OMISSION_METRICS,
     ForestConfig,
     OmissionPlan,
+    aggregate_per_k,
     augment_with_noise,
     rf_fit,
     rf_predict,
@@ -95,13 +96,7 @@ OMISSION_CSV_COLUMNS = (
     "combination_tags",
     "run",
     "arm",
-    "accuracy",
-    "attack_precision",
-    "attack_recall",
-    "attack_f1",
-    "macro_f1",
-)
-OMISSION_METRIC_COLUMNS = OMISSION_CSV_COLUMNS[5:]
+) + OMISSION_METRICS
 
 _ARM_ORDER = {"plain": 0, "noise": 1, "occ": 2}
 
@@ -378,82 +373,67 @@ def _read_rows(path: Path, columns: tuple[str, ...]) -> list[dict]:
         return [dict(zip(columns, row)) for row in reader]
 
 
-def _mean_std(values: list[float]) -> dict[str, float]:
-    mu = math.fsum(values) / len(values)
-    var = math.fsum((v - mu) ** 2 for v in values) / len(values)
-    return {"mean": mu, "std": math.sqrt(var)}
-
-
-def _evaluate(y_true: np.ndarray, preds: np.ndarray) -> dict[str, float]:
-    c = confusion(y_true, preds)
-    attack = class_metrics(c)
-    normal = class_metrics(c.swapped())
-    return {
-        "accuracy": attack.accuracy,
-        "attack_precision": attack.precision,
-        "attack_recall": attack.recall,
-        "attack_f1": attack.f1,
-        "normal_f1": normal.f1,
-        "macro_f1": macro_f1(attack, normal),
-    }
+def _stats(mean_and_std: tuple[float, float]) -> dict[str, float]:
+    mean, std = mean_and_std
+    return {"mean": mean, "std": std}
 
 
 # ---------------------------------------------------------------------------
 # occ-eval
 
 
+def _occ_predict(cfg: DetectorConfig, normals: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Fit on the normal rows, calibrate the threshold on them, classify X."""
+    det = fit_detector(cfg, normals)
+    threshold = calibrate_threshold(score_detector(det, normals))
+    return classify(score_detector(det, X), threshold)
+
+
 def _occ_rows_for_run(config: ExperimentConfig, source: _DataSource, run: int) -> list[dict]:
     train, test = source.split_for_run(config.split, run)
     normals = filter_normal(train)
-    rows = []
-    preds_by_name: dict[str, np.ndarray] = {}
-    for name, base_cfg in config.detectors.items():
-        cfg = dataclasses.replace(base_cfg, seed=derive_seed(config.seed, "detector", name, run))
-        det = fit_detector(cfg, normals.X)
-        threshold = calibrate_threshold(score_detector(det, normals.X))
-        preds = classify(score_detector(det, test.X), threshold)
-        preds_by_name[name] = preds
-        rows.append(
-            {"run": run, "model": name, "kind": "detector", "n_models": 1, **_evaluate(test.y, preds)}
+    preds_by_name = {
+        name: _occ_predict(
+            dataclasses.replace(cfg, seed=derive_seed(config.seed, "detector", name, run)),
+            normals.X,
+            test.X,
         )
+        for name, cfg in config.detectors.items()
+    }
+    members = config.ensemble_members
     matrix = PredictionMatrix(
-        preds=np.array([preds_by_name[m] for m in config.ensemble_members]),
-        model_names=config.ensemble_members,
+        preds=np.array([preds_by_name[m] for m in members]), model_names=members
     )
-    for k in config.ensemble_levels:
-        preds = consensus(matrix, k)
-        rows.append(
-            {
-                "run": run,
-                "model": f"ensemble-{k}",
-                "kind": "ensemble",
-                "n_models": len(config.ensemble_members),
-                **_evaluate(test.y, preds),
-            }
-        )
-    return rows
+    models = [(name, "detector", 1, preds) for name, preds in preds_by_name.items()] + [
+        (f"ensemble-{k}", "ensemble", len(members), consensus(matrix, k))
+        for k in config.ensemble_levels
+    ]
+    return [
+        {
+            "run": run,
+            "model": model,
+            "kind": kind,
+            "n_models": n_models,
+            **metric_row(confusion(test.y, preds)),
+        }
+        for model, kind, n_models, preds in models
+    ]
 
 
 def _aggregate_occ_rows(rows: list[dict]) -> dict:
-    order: list[str] = []
-    grouped: dict[str, list[dict]] = {}
+    grouped: dict[str, list[dict]] = {}  # in first-seen model order
     for row in rows:
-        model = row["model"]
-        if model not in grouped:
-            grouped[model] = []
-            order.append(model)
-        grouped[model].append(row)
-    blocks = {}
-    for model in order:
-        model_rows = grouped[model]
-        blocks[model] = {
+        grouped.setdefault(row["model"], []).append(row)
+    return {
+        model: {
             "kind": model_rows[0]["kind"],
             "n_models": int(model_rows[0]["n_models"]),
             "metrics": {
-                m: _mean_std([float(r[m]) for r in model_rows]) for m in OCC_METRIC_COLUMNS
+                m: _stats(mean_std([float(r[m]) for r in model_rows])) for m in OCC_METRIC_COLUMNS
             },
         }
-    return blocks
+        for model, model_rows in grouped.items()
+    }
 
 
 def _run_dir(config: ExperimentConfig, out_dir: Path) -> Path:
@@ -519,32 +499,18 @@ def cmd_occ_eval(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> R
 # omission
 
 
-def _omission_metrics_row(y_true: np.ndarray, preds: np.ndarray) -> dict[str, float]:
-    full = _evaluate(y_true, preds)
-    return {m: full[m] for m in OMISSION_METRIC_COLUMNS}
-
-
 def _aggregate_omission_rows(rows: list[dict]) -> dict:
-    grouped: dict[tuple[int, str], dict[int, list[dict]]] = {}
-    for row in rows:
-        key = (int(row["k"]), str(row["arm"]))
-        grouped.setdefault(key, {}).setdefault(int(row["combination_id"]), []).append(row)
-    blocks = {}
-    for (k, arm), by_combo in sorted(grouped.items(), key=lambda kv: (kv[0][0], _ARM_ORDER[kv[0][1]])):
-        metrics = {}
-        for m in OMISSION_METRIC_COLUMNS:
-            combo_means = [
-                math.fsum(float(r[m]) for r in combo_rows) / len(combo_rows)
-                for _, combo_rows in sorted(by_combo.items())
-            ]
-            metrics[m] = _mean_std(combo_means)
-        blocks[f"k={k}/{arm}"] = {"metrics": metrics}
-    return blocks
+    per_k = aggregate_per_k(rows)
+    return {
+        f"k={k}/{arm}": {"metrics": {m: _stats(stats) for m, stats in per_k[(k, arm)].items()}}
+        for k, arm in sorted(per_k, key=lambda key: (key[0], _ARM_ORDER[key[1]]))
+    }
 
 
 def cmd_omission(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> Report:
     """Run the omission grid plus the one-class pipeline on identical folds."""
-    del workers  # grid cells are evaluated serially; output is order-independent anyway
+    if workers != 1:
+        raise ConfigError(f"omission runs its grid serially; --workers must be 1, got {workers}")
     source = _DataSource(config)
     data = source.dataset
     tags = config.omission["attack_types"] or list(data.attack_tags())
@@ -568,40 +534,26 @@ def cmd_omission(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> R
             "combination_tags": "|".join(cell.combination),
             "run": cell.run,
             "arm": cell.arm,
-            **{m: cell.metric(m) for m in OMISSION_METRIC_COLUMNS},
+            **{m: cell.metric(m) for m in OMISSION_METRICS},
         }
         for cell in result.cells
     ]
 
     # One-class rows on the same folds: training normals never change under
-    # omission, so the per-run model is fitted once and evaluated everywhere.
+    # omission, so the per-run model is fitted once and evaluated everywhere,
+    # giving one "occ" row beside every plain-arm grid cell.
     occ_name = config.omission["occ_detector"] or (
         "stochastic-forest" if "stochastic-forest" in config.detectors else next(iter(config.detectors))
     )
     base_cfg = config.detectors[occ_name]
-    combos_per_k = {cell.k: set() for cell in result.cells}
-    for cell in result.cells:
-        combos_per_k[cell.k].add((cell.combination_id, cell.combination))
+    occ_metrics = []
     for run in range(plan.n_runs):
         train, test = stratified_split(data, SplitPlan(plan.ratio, plan.n_runs, plan.base_seed), run)
         normals = filter_normal(train)
         cfg = dataclasses.replace(base_cfg, seed=derive_seed(config.seed, "occ", run))
-        det = fit_detector(cfg, normals.X)
-        threshold = calibrate_threshold(score_detector(det, normals.X))
-        preds = classify(score_detector(det, test.X), threshold)
-        metrics = _omission_metrics_row(test.y, preds)
-        for k, combos in sorted(combos_per_k.items()):
-            for combo_id, combo in sorted(combos):
-                rows.append(
-                    {
-                        "k": k,
-                        "combination_id": combo_id,
-                        "combination_tags": "|".join(combo),
-                        "run": run,
-                        "arm": "occ",
-                        **metrics,
-                    }
-                )
+        preds = _occ_predict(cfg, normals.X, test.X)
+        occ_metrics.append(metric_row(confusion(test.y, preds)))
+    rows += [{**r, "arm": "occ", **occ_metrics[r["run"]]} for r in rows if r["arm"] == "plain"]
 
     rows.sort(key=lambda r: (r["k"], r["combination_id"], r["run"], _ARM_ORDER[r["arm"]]))
     run_dir = _run_dir(config, out_dir)
@@ -627,15 +579,11 @@ def cmd_demo(seed: int, out_dir: Path) -> Path:
     plain = rf_fit(reduced.X, reduced.y, rf_config, seed=derive_seed(seed, "demo-rf-plain"))
     noisy_train = augment_with_noise(reduced, derive_seed(seed, "demo-noise"))
     noisy = rf_fit(noisy_train.X, noisy_train.y, rf_config, seed=derive_seed(seed, "demo-rf-noise"))
-    normals = filter_normal(demo)
-    det = fit_detector(
-        DetectorConfig(variant="stochastic-forest", seed=derive_seed(seed, "demo-occ")), normals.X
-    )
-    threshold = calibrate_threshold(score_detector(det, normals.X))
+    occ_config = DetectorConfig(variant="stochastic-forest", seed=derive_seed(seed, "demo-occ"))
 
     pred_plain = rf_predict(plain, demo.X)
     pred_noise = rf_predict(noisy, demo.X)
-    pred_occ = classify(score_detector(det, demo.X), threshold)
+    pred_occ = _occ_predict(occ_config, filter_normal(demo).X, demo.X)
 
     resolved = {"experiment": "demo", "seed": seed}
     run_id = hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()[:12]
@@ -742,10 +690,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None, help="experiment config JSON")
         p.add_argument("--out", type=Path, required=True, help="output directory root")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--workers", type=int, default=1, help="worker threads for independent runs")
+        if name != "demo":
+            p.add_argument(
+                "--workers", type=int, default=1, help="worker threads for independent runs"
+            )
     p = sub.add_parser("report")
-    p.add_argument("--run-dir", type=Path, default=None, help="run directory to audit")
-    p.add_argument("--out", type=Path, default=None, help="alias for --run-dir")
+    p.add_argument("--run-dir", type=Path, required=True, help="run directory to audit")
     return parser
 
 
@@ -753,10 +703,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            run_dir = args.run_dir or args.out
-            if run_dir is None:
-                raise ConfigError("report needs --run-dir (or --out) pointing at a run directory")
-            report = cmd_report(run_dir)
+            report = cmd_report(args.run_dir)
             print(_render_blocks(report))
         elif args.command == "demo":
             config = load_config(args.config, experiment="demo", seed_override=args.seed)

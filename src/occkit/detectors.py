@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import Threshold
+from .trees import grow, leaf_values
 
 __all__ = [
     "VARIANTS",
@@ -164,120 +165,89 @@ def _check_matrix(X: np.ndarray) -> np.ndarray:
 # forest variants
 
 
-def _tree_path_lengths(tree: dict, X: np.ndarray) -> np.ndarray:
-    """Depth plus leaf-mass adjustment for every row of X in one tree."""
-    out = np.zeros(X.shape[0], dtype=np.float64)
-    stack: list[tuple[dict, np.ndarray, int]] = [(tree, np.arange(X.shape[0]), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        if idx.size == 0:
-            continue
-        if "mass" in node:
-            out[idx] = depth + _leaf_adjustment(node["mass"])
-            continue
-        going_left = X[idx, node["feature"]] < node["value"]
-        stack.append((node["left"], idx[going_left], depth + 1))
-        stack.append((node["right"], idx[~going_left], depth + 1))
-    return out
+def _mass_leaf(idx: np.ndarray) -> dict:
+    return {"mass": int(idx.size)}
+
+
+def _path_length(leaf: dict, depth: int) -> float:
+    return depth + _leaf_adjustment(leaf["mass"])
 
 
 class _ForestDetector(FittedDetector):
-    """Shared scoring and state for the two tree ensembles."""
+    """Shared growth, scoring and state for the two tree ensembles.
+
+    Each tree grows on a subsample drawn without replacement, at most
+    ceil(log2(subsample)) levels deep. A subclass supplies only
+    `_cut(X, idx, rng)`: a (feature, value, going_left) cut of rows idx into
+    two non-empty sides, or None.
+    """
 
     def __init__(self, config: DetectorConfig, feature_count: int, trees: list[dict]) -> None:
         super().__init__(config, feature_count)
         self.trees = trees
 
+    @classmethod
+    def fit(cls, config: DetectorConfig, X: np.ndarray) -> _ForestDetector:
+        rng = np.random.default_rng(config.seed)
+        effective = min(config.subsample, X.shape[0])
+        limit = math.ceil(math.log2(effective)) if effective > 1 else 0
+
+        def split(idx: np.ndarray, depth: int, payload: dict):
+            if idx.size <= 1 or depth >= limit:
+                return None
+            return cls._cut(X, idx, rng)
+
+        trees = [
+            grow(rng.permutation(X.shape[0])[:effective], split, _mass_leaf)
+            for _ in range(config.n_trees)
+        ]
+        return cls(config, X.shape[1], trees)
+
     def score(self, X: np.ndarray) -> np.ndarray:
         total = np.zeros(X.shape[0], dtype=np.float64)
         for tree in self.trees:
-            total += _tree_path_lengths(tree, X)
+            total += leaf_values(tree, X, _path_length)
         return total / len(self.trees)
 
     def _state(self) -> dict:
         return {"feature_count": self.feature_count, "trees": self.trees}
 
-    @classmethod
-    def _subsamples(
-        cls, config: DetectorConfig, X: np.ndarray
-    ) -> tuple[np.random.Generator, int, int]:
-        rng = np.random.default_rng(config.seed)
-        effective = min(config.subsample, X.shape[0])
-        height_limit = math.ceil(math.log2(effective)) if effective > 1 else 0
-        return rng, effective, height_limit
-
 
 class IsolationForestDetector(_ForestDetector):
     variant = "isolation-forest"
 
-    @classmethod
-    def fit(cls, config: DetectorConfig, X: np.ndarray) -> IsolationForestDetector:
-        rng, effective, limit = cls._subsamples(config, X)
-        trees = []
-        for _ in range(config.n_trees):
-            sample = rng.permutation(X.shape[0])[:effective]
-            trees.append(cls._build(X, sample, 0, limit, rng))
-        return cls(config, X.shape[1], trees)
-
-    @classmethod
-    def _build(
-        cls, X: np.ndarray, idx: np.ndarray, depth: int, limit: int, rng: np.random.Generator
-    ) -> dict:
-        if idx.size <= 1 or depth >= limit:
-            return {"mass": int(idx.size)}
+    @staticmethod
+    def _cut(X: np.ndarray, idx: np.ndarray, rng: np.random.Generator):
         sub = X[idx]
         lo = sub.min(axis=0)
         hi = sub.max(axis=0)
         spread = np.flatnonzero(hi > lo)
         if spread.size == 0:
-            return {"mass": int(idx.size)}
+            return None
         feature = int(spread[rng.integers(spread.size)])
         value = float(rng.uniform(lo[feature], hi[feature]))
-        going_left = X[idx, feature] < value
-        left, right = idx[going_left], idx[~going_left]
-        if left.size == 0 or right.size == 0:  # draw landed on the boundary
-            return {"mass": int(idx.size)}
-        return {
-            "feature": feature,
-            "value": value,
-            "left": cls._build(X, left, depth + 1, limit, rng),
-            "right": cls._build(X, right, depth + 1, limit, rng),
-        }
+        # Some row lies below the cut iff lo < value, some at or above it iff
+        # value <= hi; a draw on the boundary leaves one side empty.
+        if not lo[feature] < value <= hi[feature]:
+            return None
+        return feature, value, sub[:, feature] < value
 
 
 class StochasticForestDetector(_ForestDetector):
     variant = "stochastic-forest"
 
-    @classmethod
-    def fit(cls, config: DetectorConfig, X: np.ndarray) -> StochasticForestDetector:
-        rng, effective, limit = cls._subsamples(config, X)
-        trees = []
-        for _ in range(config.n_trees):
-            sample = rng.permutation(X.shape[0])[:effective]
-            trees.append(cls._build(X, sample, 0, limit, rng))
-        return cls(config, X.shape[1], trees)
-
-    @classmethod
-    def _build(
-        cls, X: np.ndarray, idx: np.ndarray, depth: int, limit: int, rng: np.random.Generator
-    ) -> dict:
-        if idx.size <= 1 or depth >= limit:
-            return {"mass": int(idx.size)}
+    @staticmethod
+    def _cut(X: np.ndarray, idx: np.ndarray, rng: np.random.Generator):
         # The cut must sit exactly on a training coordinate: every decision
         # below depends only on comparisons between data values, never on
         # their magnitudes, which is what makes rankings scale-free.
         for _ in range(_SPLIT_RETRIES):
             feature = int(rng.integers(X.shape[1]))
             value = float(X[idx[rng.integers(idx.size)], feature])
-            going_left = X[idx, feature] < value
+            going_left = X[:, feature][idx] < value
             if going_left.any():  # the chosen datum itself keeps the right side non-empty
-                return {
-                    "feature": feature,
-                    "value": value,
-                    "left": cls._build(X, idx[going_left], depth + 1, limit, rng),
-                    "right": cls._build(X, idx[~going_left], depth + 1, limit, rng),
-                }
-        return {"mass": int(idx.size)}
+                return feature, value, going_left
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ __all__ = [
     "confusion",
     "class_metrics",
     "macro_f1",
+    "metric_row",
+    "mean_std",
     "aggregate_runs",
 ]
 
@@ -113,16 +115,30 @@ def macro_f1(attack: ClassMetrics, normal: ClassMetrics) -> float:
     return (attack.f1 + normal.f1) / 2.0
 
 
+def metric_row(c: ConfusionCounts) -> dict[str, float]:
+    """The per-row metric dict every experiment reports for one set of predictions."""
+    attack = class_metrics(c)
+    normal = class_metrics(c.swapped())
+    return {
+        "accuracy": attack.accuracy,
+        "attack_precision": attack.precision,
+        "attack_recall": attack.recall,
+        "attack_f1": attack.f1,
+        "normal_f1": normal.f1,
+        "macro_f1": macro_f1(attack, normal),
+    }
+
+
+def mean_std(values: Sequence[float]) -> tuple[float, float]:
+    """Arithmetic mean and population standard deviation, both via exact fsum."""
+    mu = math.fsum(values) / len(values)
+    var = math.fsum((v - mu) ** 2 for v in values) / len(values)
+    return mu, math.sqrt(var)
+
+
 def aggregate_runs(per_run: Sequence[ClassMetrics]) -> RunSummary:
     """Arithmetic mean and population standard deviation of each metric over runs."""
     if len(per_run) == 0:
         raise ValueError("need at least one run to aggregate")
-    means = {}
-    stds = {}
-    for name in METRIC_NAMES:
-        values = [getattr(m, name) for m in per_run]
-        mu = math.fsum(values) / len(values)
-        var = math.fsum((v - mu) ** 2 for v in values) / len(values)
-        means[name] = mu
-        stds[name] = math.sqrt(var)
-    return RunSummary(mean=ClassMetrics(**means), std=ClassMetrics(**stds), run_count=len(per_run))
+    means, stds = zip(*(mean_std([getattr(m, name) for m in per_run]) for name in METRIC_NAMES))
+    return RunSummary(mean=ClassMetrics(*means), std=ClassMetrics(*stds), run_count=len(per_run))

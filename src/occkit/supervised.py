@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,13 +24,13 @@ from .dataset import (
     omit_attack_types,
     stratified_split,
 )
-from .metrics import class_metrics, confusion, macro_f1
+from .metrics import confusion, mean_std, metric_row
 from .seeding import derive_seed, rng_for
+from .trees import grow, leaf_values
 
 __all__ = [
     "ForestConfig",
     "ForestModel",
-    "NoiseAugmentPlan",
     "OmissionPlan",
     "OmissionCell",
     "OmissionResult",
@@ -128,38 +128,6 @@ def _best_split(
     return best
 
 
-def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    idx: np.ndarray,
-    depth: int,
-    config: ForestConfig,
-    n_features_split: int,
-    rng: np.random.Generator,
-) -> dict:
-    ones = int(y[idx].sum())
-    counts = [int(idx.size) - ones, ones]
-    if (
-        counts[0] == 0
-        or counts[1] == 0
-        or idx.size < 2 * config.min_leaf
-        or (config.max_depth is not None and depth >= config.max_depth)
-    ):
-        return {"counts": counts}
-    features = rng.choice(X.shape[1], size=n_features_split, replace=False)
-    best = _best_split(X, y, idx, features, config.min_leaf)
-    if best is None:
-        return {"counts": counts}
-    feature, value = best
-    going_left = X[idx, feature] < value
-    return {
-        "feature": feature,
-        "value": value,
-        "left": _grow_tree(X, y, idx[going_left], depth + 1, config, n_features_split, rng),
-        "right": _grow_tree(X, y, idx[~going_left], depth + 1, config, n_features_split, rng),
-    }
-
-
 def rf_fit(
     X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), seed: int | None = None
 ) -> ForestModel:
@@ -180,28 +148,33 @@ def rf_fit(
     n_split = config.features_per_split or math.ceil(math.sqrt(d))
     n_split = min(n_split, d)
     rng = np.random.default_rng(config.seed if seed is None else seed)
-    trees = []
-    for _ in range(config.n_trees):
-        bag = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X, y, bag, 0, config, n_split, rng))
-    return ForestModel(trees=tuple(trees), config=config, feature_count=d)
+
+    def leaf(idx: np.ndarray) -> dict:
+        ones = int(y[idx].sum())
+        return {"counts": [int(idx.size) - ones, ones]}
+
+    def split(idx: np.ndarray, depth: int, payload: dict):
+        if (
+            0 in payload["counts"]
+            or idx.size < 2 * config.min_leaf
+            or (config.max_depth is not None and depth >= config.max_depth)
+        ):
+            return None
+        features = rng.choice(d, size=n_split, replace=False)
+        best = _best_split(X, y, idx, features, config.min_leaf)
+        if best is None:
+            return None
+        feature, value = best
+        return feature, value, X[:, feature][idx] < value
+
+    # Each tree draws its bootstrap bag before growing.
+    trees = tuple(grow(rng.integers(0, n, size=n), split, leaf) for _ in range(config.n_trees))
+    return ForestModel(trees=trees, config=config, feature_count=d)
 
 
-def _tree_votes(tree: dict, X: np.ndarray) -> np.ndarray:
-    """Per-row 0/1 vote of one tree; leaf ties go to attack."""
-    out = np.zeros(X.shape[0], dtype=np.int64)
-    stack: list[tuple[dict, np.ndarray]] = [(tree, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if "counts" in node:
-            out[idx] = 1 if node["counts"][1] >= node["counts"][0] else 0
-            continue
-        going_left = X[idx, node["feature"]] < node["value"]
-        stack.append((node["left"], idx[going_left]))
-        stack.append((node["right"], idx[~going_left]))
-    return out
+def _vote(leaf: dict, depth: int) -> float:
+    """A leaf's 0/1 vote; ties go to attack."""
+    return 1.0 if leaf["counts"][1] >= leaf["counts"][0] else 0.0
 
 
 def rf_predict(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -213,17 +186,10 @@ def rf_predict(model: ForestModel, X: np.ndarray) -> np.ndarray:
         )
     if X.shape[0] == 0:
         return np.zeros(0, dtype=np.int64)
-    votes = np.zeros(X.shape[0], dtype=np.int64)
+    votes = np.zeros(X.shape[0], dtype=np.float64)
     for tree in model.trees:
-        votes += _tree_votes(tree, X)
+        votes += leaf_values(tree, X, _vote)
     return (2 * votes >= len(model.trees)).astype(np.int64)
-
-
-@dataclass(frozen=True)
-class NoiseAugmentPlan:
-    """Noise row count: always the normal-row count of the split it augments."""
-
-    noise_count: int
 
 
 def augment_with_noise(train: Dataset, seed: int) -> Dataset:
@@ -316,46 +282,39 @@ def _capped_combinations(plan: OmissionPlan, k: int) -> list[tuple[str, ...]]:
 
 
 def _evaluate_predictions(test: Dataset, preds: np.ndarray, combo: tuple[str, ...]) -> dict:
-    c = confusion(test.y, preds)
-    attack = class_metrics(c)
-    normal = class_metrics(c.swapped())
+    row = metric_row(confusion(test.y, preds))
     omitted_recall = None
     if combo:
         rows = [i for i, tag in enumerate(test.attack_type) if tag in combo]
         if rows:
             omitted_recall = 100.0 * float(np.mean(preds[rows] == 1))
-    return {
-        "accuracy": attack.accuracy,
-        "attack_precision": attack.precision,
-        "attack_recall": attack.recall,
-        "attack_f1": attack.f1,
-        "macro_f1": macro_f1(attack, normal),
-        "omitted_recall": omitted_recall,
-    }
+    return {**{name: row[name] for name in OMISSION_METRICS}, "omitted_recall": omitted_recall}
 
 
-def aggregate_per_k(cells: Sequence[OmissionCell]) -> dict[tuple[int, str], dict[str, tuple[float, float]]]:
+def aggregate_per_k(rows: Sequence[Mapping]) -> dict[tuple[int, str], dict[str, tuple[float, float]]]:
     """Mean and population std over combination-level means, per (k, arm).
 
     Each combination's metric is first averaged over its runs; aggregates are
     then taken across combinations, matching how omission curves are plotted.
+    Rows map "k", "arm", "combination_id" and every OMISSION_METRICS name to
+    a value, either as a number or as the text written to per_run.csv.
     """
-    grouped: dict[tuple[int, str], dict[int, list[OmissionCell]]] = {}
-    for cell in cells:
-        grouped.setdefault((cell.k, cell.arm), {}).setdefault(cell.combination_id, []).append(cell)
-    out: dict[tuple[int, str], dict[str, tuple[float, float]]] = {}
-    for key, by_combo in sorted(grouped.items()):
-        summary = {}
-        for name in OMISSION_METRICS:
-            combo_means = [
-                math.fsum(c.metric(name) for c in combo_cells) / len(combo_cells)
-                for _, combo_cells in sorted(by_combo.items())
-            ]
-            mu = math.fsum(combo_means) / len(combo_means)
-            var = math.fsum((v - mu) ** 2 for v in combo_means) / len(combo_means)
-            summary[name] = (mu, math.sqrt(var))
-        out[key] = summary
-    return out
+    grouped: dict[tuple[int, str], dict[int, list[Mapping]]] = {}
+    for row in rows:
+        key = (int(row["k"]), str(row["arm"]))
+        grouped.setdefault(key, {}).setdefault(int(row["combination_id"]), []).append(row)
+    return {
+        key: {
+            name: mean_std(
+                [
+                    math.fsum(float(r[name]) for r in combo_rows) / len(combo_rows)
+                    for _, combo_rows in sorted(by_combo.items())
+                ]
+            )
+            for name in OMISSION_METRICS
+        }
+        for key, by_combo in sorted(grouped.items())
+    }
 
 
 def run_omission_experiment(
@@ -403,4 +362,4 @@ def run_omission_experiment(
                             **_evaluate_predictions(test, preds, combo),
                         )
                     )
-    return OmissionResult(cells=tuple(cells), per_k=aggregate_per_k(cells))
+    return OmissionResult(cells=tuple(cells), per_k=aggregate_per_k([vars(c) for c in cells]))
