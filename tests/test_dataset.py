@@ -154,6 +154,23 @@ def test_fit_rejects_all_missing_numeric(tmp_path):
         fit_preprocessor(table, SCHEMA)
 
 
+def test_non_numeric_cell_names_column_and_data_row(tmp_path):
+    table = _table(tmp_path, "1,tcp,normal,\n,tcp,normal,\n2,tcp,normal,\nfast,tcp,normal,\n")
+    with pytest.raises(ValueError, match=r"column 'duration', data row 4: .*'fast'"):
+        fit_preprocessor(table, SCHEMA)
+    state = fit_preprocessor(_table(tmp_path, "1,tcp,normal,\n"), SCHEMA)
+    with pytest.raises(ValueError, match=r"column 'duration', data row 4: .*'fast'"):
+        apply_preprocessor(state, table, SCHEMA)
+
+
+def test_header_only_csv_is_an_empty_table(tmp_path):
+    table = _table(tmp_path, "")
+    assert table.row_count == 0
+    assert table.col_count == 4
+    with pytest.raises(ValueError, match="empty table"):
+        fit_preprocessor(table, SCHEMA)
+
+
 def test_fit_rejects_zero_feature_schema(tmp_path):
     schema = Schema(columns=(("label", "binary-label"),))
     path = _write(tmp_path, "only.csv", "label\nnormal\nattack\n")
