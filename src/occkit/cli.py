@@ -35,7 +35,6 @@ from . import __version__
 from .calibration import calibrate_threshold, classify
 from .dataset import (
     Dataset,
-    Schema,
     SplitPlan,
     apply_preprocessor,
     extract_labels,
@@ -303,9 +302,6 @@ class _DataSource:
     """Produces (train, test) datasets per run, honoring the leak-free flag."""
 
     def __init__(self, config: ExperimentConfig) -> None:
-        self._train_fit = False
-        self._table = None
-        self._schema: Schema | None = None
         self._dataset: Dataset | None = None
         entry = config.dataset
         if "demo" in entry:
@@ -316,16 +312,15 @@ class _DataSource:
                 n_attack=demo["n_attack"],
                 sigma=demo["sigma"],
             )
+            return
+        schema = load_schema(entry["schema"])
+        table = load_csv(entry["csv"], schema)
+        if config.preprocessor_fit == "train":
+            self._table = table
+            self._schema = schema
+            self._y, _ = extract_labels(table, schema)
         else:
-            schema = load_schema(entry["schema"])
-            table = load_csv(entry["csv"], schema)
-            if config.preprocessor_fit == "train":
-                self._train_fit = True
-                self._table = table
-                self._schema = schema
-            else:
-                state = fit_preprocessor(table, schema)
-                self._dataset = apply_preprocessor(state, table, schema)
+            self._dataset = apply_preprocessor(fit_preprocessor(table, schema), table, schema)
 
     @property
     def dataset(self) -> Dataset:
@@ -334,14 +329,13 @@ class _DataSource:
         return self._dataset
 
     def split_for_run(self, plan: SplitPlan, run: int) -> tuple[Dataset, Dataset]:
-        if not self._train_fit:
-            return stratified_split(self.dataset, plan, run)
-        assert self._table is not None and self._schema is not None
-        y, _ = extract_labels(self._table, self._schema)
+        if self._dataset is not None:
+            return stratified_split(self._dataset, plan, run)
         rng = np.random.default_rng([plan.base_seed, run])
-        train_idx, test_idx = stratified_indices(y, plan.ratio, rng)
-        state = fit_preprocessor(self._table.subset(train_idx), self._schema)
-        train = apply_preprocessor(state, self._table.subset(train_idx), self._schema)
+        train_idx, test_idx = stratified_indices(self._y, plan.ratio, rng)
+        train_table = self._table.subset(train_idx)
+        state = fit_preprocessor(train_table, self._schema)
+        train = apply_preprocessor(state, train_table, self._schema)
         test = apply_preprocessor(state, self._table.subset(test_idx), self._schema)
         return train, test
 
@@ -370,7 +364,14 @@ def _read_rows(path: Path, columns: tuple[str, ...]) -> list[dict]:
         header = next(reader, None)
         if header is None or tuple(header) != columns:
             raise ValueError(f"{path}: unexpected or missing CSV header")
-        return [dict(zip(columns, row)) for row in reader]
+        rows = []
+        for i, row in enumerate(reader, start=1):
+            if len(row) != len(columns):
+                raise ValueError(
+                    f"{path}: data row {i} has {len(row)} cells, expected {len(columns)}"
+                )
+            rows.append(dict(zip(columns, row)))
+        return rows
 
 
 def _stats(mean_and_std: tuple[float, float]) -> dict[str, float]:
@@ -657,7 +658,10 @@ def cmd_report(run_dir: Path) -> Report:
         raise ValueError(f"{run_dir} does not contain report.json and per_run.csv")
     with open(report_path, encoding="utf-8") as fh:
         stored = json.load(fh)
-    experiment = stored.get("experiment")
+    missing = [f.name for f in dataclasses.fields(Report) if f.name not in stored]
+    if missing:
+        raise ValueError(f"{report_path}: missing key(s) {missing}")
+    experiment = stored["experiment"]
     if experiment == "occ-eval":
         rows = _read_rows(csv_path, OCC_CSV_COLUMNS)
         recomputed = _aggregate_occ_rows(rows)

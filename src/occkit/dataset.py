@@ -132,14 +132,14 @@ def load_schema(path: str | Path) -> Schema:
 
 @dataclass(frozen=True)
 class RawTable:
-    """Parsed CSV contents; missing cells are None."""
+    """Parsed CSV cells, one tuple per column, still text; missing cells are None."""
 
     header: tuple[str, ...]
-    rows: tuple[tuple[str | None, ...], ...]
+    columns: tuple[tuple[str | None, ...], ...]
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0]) if self.columns else 0
 
     @property
     def col_count(self) -> int:
@@ -147,13 +147,13 @@ class RawTable:
 
     def column(self, name: str) -> tuple[str | None, ...]:
         try:
-            j = self.header.index(name)
+            return self.columns[self.header.index(name)]
         except ValueError:
             raise ValueError(f"table has no column {name!r}") from None
-        return tuple(row[j] for row in self.rows)
 
     def subset(self, indices: Sequence[int]) -> RawTable:
-        return RawTable(header=self.header, rows=tuple(self.rows[i] for i in indices))
+        columns = tuple(tuple(col[i] for i in indices) for col in self.columns)
+        return RawTable(header=self.header, columns=columns)
 
 
 def load_csv(path: str | Path, schema: Schema) -> RawTable:
@@ -184,8 +184,9 @@ def load_csv(path: str | Path, schema: Schema) -> RawTable:
                 raise ValueError(
                     f"{path}: line {lineno} has {len(cells)} cells, expected {len(header)}"
                 )
-            rows.append(tuple(cell if cell != "" else None for cell in cells))
-    return RawTable(header=tuple(header), rows=tuple(rows))
+            rows.append(cells)
+    columns = tuple(tuple([row[j] or None for row in rows]) for j in range(len(header)))
+    return RawTable(header=tuple(header), columns=columns)
 
 
 @dataclass(frozen=True)
@@ -282,13 +283,19 @@ class SplitPlan:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
 
 
-def _parse_numeric(cell: str, column: str, row_index: int) -> float:
+def _parse_numeric(cells: tuple[str | None, ...], column: str) -> np.ndarray:
+    """A numeric column as float64; missing cells read as NaN until imputed."""
     try:
-        return float(cell)
+        return np.array(cells, dtype=np.float64)
     except ValueError:
-        raise ValueError(
-            f"column {column!r}, data row {row_index + 1}: cannot parse {cell!r} as a number"
-        ) from None
+        for i, cell in enumerate(cells):
+            try:
+                float("nan" if cell is None else cell)
+            except ValueError:
+                raise ValueError(
+                    f"column {column!r}, data row {i + 1}: cannot parse {cell!r} as a number"
+                ) from None
+        raise
 
 
 def fit_preprocessor(table: RawTable, schema: Schema) -> PreprocessorState:
@@ -304,24 +311,10 @@ def fit_preprocessor(table: RawTable, schema: Schema) -> PreprocessorState:
     """
     if table.row_count == 0:
         raise ValueError("cannot fit a preprocessor on an empty table")
-    features = schema.feature_columns
-    if not features:
+    if not schema.feature_columns:
         raise ValueError("schema has no numeric or categorical feature columns")
-
     means: dict[str, float] = {}
     cats: dict[str, tuple[str, ...]] = {}
-    for name, kind in features:
-        col = table.column(name)
-        if kind == "numeric":
-            values = [
-                _parse_numeric(c, name, i) for i, c in enumerate(col) if c is not None
-            ]
-            if not values:
-                raise ValueError(f"numeric column {name!r} is entirely missing, cannot impute")
-            means[name] = math.fsum(values) / len(values)
-        else:
-            cats[name] = tuple(sorted({c for c in col if c is not None}))
-
     X, names = _encode(table, schema, means, cats)
     minmax = {
         feat: (float(X[:, j].min()), float(X[:, j].max())) for j, feat in enumerate(names)
@@ -335,30 +328,39 @@ def _encode(
     means: dict[str, float],
     cats: dict[str, tuple[str, ...]],
 ) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Imputed, one-hot encoded (but unscaled) matrix plus output feature names."""
+    """Imputed, one-hot encoded (but unscaled) matrix plus output feature names.
+
+    A feature column with no entry in means / cats is fitted on this table and
+    the entry added, so fitting parses each cell once.
+    """
     blocks: list[np.ndarray] = []
     names: list[str] = []
-    n = table.row_count
     for name, kind in schema.feature_columns:
         col = table.column(name)
         if kind == "numeric":
-            mean = means[name]
-            block = np.array(
-                [mean if c is None else _parse_numeric(c, name, i) for i, c in enumerate(col)],
-                dtype=np.float64,
-            ).reshape(n, 1)
+            values = _parse_numeric(col, name)
+            # only a NaN read from a missing cell is imputed, never a literal "nan"
+            missing = np.isnan(values)
+            missing[missing] = [col[i] is None for i in np.flatnonzero(missing)]
+            if name not in means:
+                present = values[~missing]
+                if not present.size:
+                    raise ValueError(f"numeric column {name!r} is entirely missing, cannot impute")
+                means[name] = math.fsum(present.tolist()) / present.size
+            values[missing] = means[name]
+            block = values[:, None]
             names.append(name)
         else:
+            if name not in cats:
+                cats[name] = tuple(sorted(set(col) - {None}))
             vocab = cats[name]
-            block = np.zeros((n, len(vocab)), dtype=np.float64)
             index = {v: j for j, v in enumerate(vocab)}
-            for i, c in enumerate(col):
-                j = index.get(c) if c is not None else None
-                if j is not None:  # unseen or missing category stays all-zero
-                    block[i, j] = 1.0
+            codes = np.fromiter((index.get(c, -1) for c in col), dtype=np.int64, count=len(col))
+            # an unseen or missing category (code -1) stays all-zero
+            block = (codes[:, None] == np.arange(len(vocab))).astype(np.float64)
             names.extend(f"{name}={v}" for v in vocab)
         blocks.append(block)
-    X = np.hstack(blocks) if blocks else np.zeros((n, 0))
+    X = np.hstack(blocks) if blocks else np.zeros((table.row_count, 0))
     return X, tuple(names)
 
 
@@ -414,7 +416,9 @@ def apply_preprocessor(state: PreprocessorState, table: RawTable, schema: Schema
     all-zero block, scaling uses the fitted ranges without clipping, and
     constant features (min == max) map to 0.
     """
-    X, names = _encode(table, schema, state.imputation_means, state.category_maps)
+    # copies, so a column the state lacks is fitted here and rejected below
+    means, cats = dict(state.imputation_means), dict(state.category_maps)
+    X, names = _encode(table, schema, means, cats)
     if names != state.feature_names:
         raise ValueError("table columns do not match the schema/state used at fit time")
     lo = np.array([state.minmax[f][0] for f in names], dtype=np.float64)

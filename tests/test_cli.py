@@ -402,6 +402,34 @@ def test_main_report_consistency_exit_code(occ_run, tmp_path):
     assert main(["report", "--run-dir", str(tampered)]) == 4
 
 
+def _copy_run(occ_run, dest):
+    config, out, _ = occ_run
+    run_dir = out / "occ-eval" / config.config_hash
+    dest.mkdir()
+    for name in ("per_run.csv", "report.json"):
+        (dest / name).write_text((run_dir / name).read_text())
+    return dest
+
+
+def test_main_report_names_missing_report_key(occ_run, tmp_path, capsys):
+    damaged = _copy_run(occ_run, tmp_path / "damaged")
+    stored = json.loads((damaged / "report.json").read_text())
+    del stored["seed"]
+    (damaged / "report.json").write_text(json.dumps(stored))
+    assert main(["report", "--run-dir", str(damaged)]) == 3
+    assert "['seed']" in capsys.readouterr().err
+
+
+def test_main_report_names_short_csv_row(occ_run, tmp_path, capsys):
+    damaged = _copy_run(occ_run, tmp_path / "damaged")
+    lines = (damaged / "per_run.csv").read_text().splitlines()
+    width = len(lines[0].split(","))
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    (damaged / "per_run.csv").write_text("\n".join(lines) + "\n")
+    assert main(["report", "--run-dir", str(damaged)]) == 3
+    assert f"data row 3 has {width - 1} cells, expected {width}" in capsys.readouterr().err
+
+
 def test_main_demo_runs(tmp_path):
     assert main(["demo", "--out", str(tmp_path), "--seed", "3"]) == 0
     assert (tmp_path / "demo").is_dir()

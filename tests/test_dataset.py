@@ -57,8 +57,8 @@ def test_load_csv_empty_cell_is_missing(tmp_path):
         "duration,proto,label,attack_cat\n,tcp,normal,\n",
     )
     table = load_csv(path, SCHEMA)
-    assert table.rows[0][0] is None
-    assert table.rows[0][1] == "tcp"
+    assert table.column("duration")[0] is None
+    assert table.column("proto")[0] == "tcp"
 
 
 def test_load_csv_ragged_row_names_line(tmp_path):
@@ -187,6 +187,14 @@ def test_apply_imputes_with_fitted_mean(tmp_path):
     j = ds.feature_names.index("duration")
     # fitted mean 2.0 scaled by range (1, 3) -> 0.5
     assert ds.X[0, j] == pytest.approx(0.5)
+
+
+def test_literal_nan_cell_is_a_value_not_a_missing_cell(tmp_path):
+    state = fit_preprocessor(_table(tmp_path, "1,tcp,normal,\n3,tcp,normal,\n"), SCHEMA)
+    ds = apply_preprocessor(state, _table(tmp_path, ",tcp,normal,\nnan,tcp,normal,\n"), SCHEMA)
+    j = ds.feature_names.index("duration")
+    assert ds.X[0, j] == pytest.approx(0.5)
+    assert np.isnan(ds.X[1, j])
 
 
 def test_apply_unseen_category_is_zero_block(tmp_path):
