@@ -639,7 +639,9 @@ def _compare_blocks(stored: dict, recomputed: dict, tol: float = 1e-9) -> None:
             f"report blocks {sorted(stored)} do not match per-run CSV blocks {sorted(recomputed)}"
         )
     for name, block in recomputed.items():
-        stored_metrics = stored[name]["metrics"]
+        stored_metrics = stored[name].get("metrics") if isinstance(stored[name], dict) else None
+        if not isinstance(stored_metrics, dict):
+            raise ValueError(f"report.json block {name!r} has no 'metrics' object")
         for metric, stats in block["metrics"].items():
             for field in ("mean", "std"):
                 got = stats[field]

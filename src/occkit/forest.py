@@ -1,0 +1,444 @@
+"""CART random forest: the supervised baseline's model.
+
+A plain CART ensemble (gini splits, bootstrap resampling, random feature
+subsets per node) built here so tree internals stay inspectable and
+deterministic. `rf_fit` grows the trees of a chunk together, level by level,
+into one flat node table per forest; `rf_fit_oracle` grows the same table
+node by node and is its test oracle; `rf_predict` walks the table with
+`trees.leaf_nodes`.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .seeding import rng_for
+from .trees import leaf_nodes
+
+__all__ = [
+    "ForestConfig",
+    "ForestModel",
+    "gini_impurity",
+    "rf_fit",
+    "rf_fit_oracle",
+    "rf_predict",
+]
+
+
+@dataclass(frozen=True)
+class ForestConfig:
+    """Forest hyperparameters; features_per_split defaults to ceil(sqrt(d))."""
+
+    n_trees: int = 100
+    max_depth: int | None = None
+    min_leaf: int = 1
+    features_per_split: int | None = None
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.n_trees < 1:
+            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
+        if self.min_leaf < 1:
+            raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
+        if self.features_per_split is not None and self.features_per_split < 1:
+            raise ValueError(f"features_per_split must be >= 1, got {self.features_per_split}")
+
+
+@dataclass(frozen=True, eq=False)
+class ForestModel:
+    """Fitted forest as one flat node table, plus the config that grew it.
+
+    Node i sends rows with X[:, feature[i]] < value[i] to node left[i] and the
+    others to right[i]; a leaf has feature, left and right -1 and value 0.
+    counts[i] holds the node's (normal, attack) bagged-row counts. Tree t
+    starts at node roots[t] and its nodes follow in level order, left child
+    before right.
+    """
+
+    feature: np.ndarray
+    value: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
+    roots: np.ndarray
+    config: ForestConfig
+    feature_count: int
+
+
+# Most (tree, row) pairs rf_fit grows, and rf_predict walks, at once: trees go
+# through both in chunks of max(1, _CHUNK_PAIRS // rows) trees. At 1 << 14 a
+# 100-tree fit on 1,300 rows peaks near 2.5 MB of heap; each doubling about
+# doubles that, for up to ~20% less fit time.
+_CHUNK_PAIRS = 1 << 14
+
+
+def gini_impurity(class_counts: Sequence[int]) -> float:
+    """1 - sum((c_i / total)^2) over the class counts.
+
+    Raises:
+        ValueError: if any count is negative or all counts are zero.
+    """
+    counts = list(class_counts)
+    if any(c < 0 for c in counts):
+        raise ValueError(f"class counts must be non-negative, got {counts}")
+    total = sum(counts)
+    if total == 0:
+        raise ValueError("class counts are all zero")
+    return 1.0 - sum((c / total) ** 2 for c in counts)
+
+
+def _best_split(
+    X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndarray, min_leaf: int
+) -> tuple[int, float] | None:
+    """Gini-minimizing (feature, midpoint threshold) for one node, or None."""
+    node_y = y[idx]
+    n = idx.size
+    total_ones = int(node_y.sum())
+    total_zeros = n - total_ones
+    best_score = np.inf
+    best: tuple[int, float] | None = None
+    for f in features:
+        values = X[idx, f]
+        order = np.argsort(values, kind="stable")
+        vs = values[order]
+        ys = node_y[order]
+        cut_ok = vs[1:] > vs[:-1]
+        if not cut_ok.any():
+            continue
+        n_left = np.arange(1, n)
+        ones_left = np.cumsum(ys)[:-1]
+        zeros_left = n_left - ones_left
+        ones_right = total_ones - ones_left
+        zeros_right = total_zeros - zeros_left
+        n_right = n - n_left
+        gini_left = 1.0 - (zeros_left / n_left) ** 2 - (ones_left / n_left) ** 2
+        gini_right = 1.0 - (zeros_right / n_right) ** 2 - (ones_right / n_right) ** 2
+        weighted = (n_left * gini_left + n_right * gini_right) / n
+        valid = cut_ok & (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not valid.any():
+            continue
+        weighted = np.where(valid, weighted, np.inf)
+        j = int(np.argmin(weighted))
+        if weighted[j] < best_score:
+            best_score = float(weighted[j])
+            best = (int(f), float((vs[j] + vs[j + 1]) / 2.0))
+    return best
+
+
+def _training_inputs(
+    X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int | None
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Checked (X, y), the features tried per node, and the forest seed."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 2 or y.shape != (X.shape[0],):
+        raise ValueError(f"bad shapes: X {X.shape}, y {y.shape}")
+    n, d = X.shape
+    if n < 2:
+        raise ValueError(f"need at least 2 training rows, got {n}")
+    if len(np.unique(y)) < 2:
+        raise ValueError("training data must contain both classes")
+    n_split = min(config.features_per_split or math.ceil(math.sqrt(d)), d)
+    return X, y, n_split, config.seed if seed is None else seed
+
+
+def _splittable(total: np.ndarray, ones: np.ndarray, depth: int, config: ForestConfig) -> np.ndarray:
+    """Nodes that may split: both classes, room for two leaves, depth to spare."""
+    if config.max_depth is not None and depth >= config.max_depth:
+        return np.zeros(total.shape, dtype=bool)
+    return (ones > 0) & (ones < total) & (total >= 2 * config.min_leaf)
+
+
+def _features(keys: np.ndarray, n_split: int) -> np.ndarray:
+    """Each node's features in trial order: its key row's first n_split argsort entries."""
+    return np.argsort(keys, axis=1, kind="stable")[:, :n_split]
+
+
+def _assemble(parts: list[tuple], config: ForestConfig, d: int) -> ForestModel:
+    """One ForestModel from (feature, value, left, counts, roots) tables numbered from 0."""
+    offsets = list(itertools.accumulate([part[0].size for part in parts], initial=0))
+    left = np.concatenate(
+        [np.where(part[2] >= 0, part[2] + offset, -1) for part, offset in zip(parts, offsets)]
+    )
+    return ForestModel(
+        feature=np.concatenate([part[0] for part in parts]),
+        value=np.concatenate([part[1] for part in parts]),
+        left=left,
+        right=np.where(left >= 0, left + 1, -1),
+        counts=np.concatenate([part[3] for part in parts]),
+        roots=np.concatenate([part[4] + offset for part, offset in zip(parts, offsets)]),
+        config=config,
+        feature_count=d,
+    )
+
+
+def rf_fit(
+    X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), seed: int | None = None
+) -> ForestModel:
+    """Grow a forest of CART trees on bootstrap resamples, level by level.
+
+    Tree t draws from its own stream rng_for(seed, "tree", t): its bootstrap
+    bag first, then at each depth one row of d uniform keys per node that may
+    split, in level order. A node tries the features its key row's stable
+    argsort lists first (n_split of them, in that order) and takes the cut of
+    lowest weighted gini: the earliest feature, then the lowest threshold,
+    among equals. Trees grow together in chunks; the table does not depend on
+    the chunking, and equals rf_fit_oracle's.
+
+    Raises:
+        ValueError: with fewer than 2 rows or a single class in y.
+    """
+    X, y, n_split, seed = _training_inputs(X, y, config, seed)
+    n, d = X.shape
+    # ranks[f * n + i] is row i's position in column f sorted, so one integer
+    # sort orders the rows of every node by that node's own feature.
+    ranks = np.empty(d * n, dtype=np.int64)
+    for f in range(d):
+        ranks[f * n + np.argsort(X[:, f], kind="stable")] = np.arange(n)
+    per_chunk = max(1, _CHUNK_PAIRS // n)
+    parts = [
+        _grow_chunk(X, y, ranks, seed, range(t, min(t + per_chunk, config.n_trees)), n_split, config)
+        for t in range(0, config.n_trees, per_chunk)
+    ]
+    return _assemble(parts, config, d)
+
+
+def _grow_chunk(
+    X: np.ndarray,
+    y: np.ndarray,
+    ranks: np.ndarray,
+    seed: int,
+    trees: range,
+    n_split: int,
+    config: ForestConfig,
+) -> tuple:
+    """Node table of `trees`, grown together one depth at a time.
+
+    Each bagged row of each tree is one element, weighted by how often the bag
+    drew it; `owner` is the element's node among the current depth's nodes,
+    which are ordered by tree and then level order.
+    """
+    n, d = X.shape
+    flat_X = X.ravel()
+    rngs = [rng_for(seed, "tree", t) for t in trees]
+    rows, weight = [], []
+    for rng in rngs:
+        bag = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        rows.append(np.flatnonzero(bag))
+        weight.append(bag[rows[-1]])
+    owner = np.repeat(np.arange(len(rngs)), [drawn.size for drawn in rows])
+    rows = np.concatenate(rows)
+    # Counts are held as float64, exact for whole numbers, so gini needs no casts.
+    weight = np.concatenate(weight).astype(np.float64)
+    attack = weight * y[rows]
+    node_tree = np.arange(len(rngs))
+    levels = []
+    first_id = 0
+    depth = 0
+    while node_tree.size:
+        k = node_tree.size
+        total = np.bincount(owner, weights=weight, minlength=k)
+        ones = np.bincount(owner, weights=attack, minlength=k)
+        feature = np.full(k, -1, dtype=np.int32)
+        value = np.zeros(k)
+        left = np.full(k, -1, dtype=np.int32)
+        counts = np.column_stack([total - ones, ones]).astype(np.int32)
+        levels.append((node_tree, feature, value, left, counts))
+        can_split = _splittable(total, ones, depth, config)
+        opened = np.flatnonzero(can_split)
+        if opened.size == 0:
+            break
+        keep = can_split[owner]
+        rows, weight, attack = rows[keep], weight[keep], attack[keep]
+        seg = (np.cumsum(can_split) - 1)[owner[keep]]
+        per_tree = np.bincount(node_tree[opened], minlength=len(rngs))
+        keys = np.concatenate([rngs[t].random((m, d)) for t, m in enumerate(per_tree) if m])
+        best, cut_feature, cut_value = _best_cuts(
+            X, ranks, rows, weight, attack, seg, _features(keys, n_split),
+            total[opened], ones[opened], config.min_leaf,
+        )
+        split = best < np.inf
+        parents = opened[split]
+        feature[parents] = cut_feature[split]
+        value[parents] = cut_value[split]
+        left[parents] = first_id + k + 2 * np.arange(parents.size)
+        keep = split[seg]
+        rows, weight, attack, seg = rows[keep], weight[keep], attack[keep], seg[keep]
+        # Not `>=`: a NaN goes right, as in _best_split's partition and the walker.
+        going_right = ~(flat_X[rows * d + cut_feature[seg]] < cut_value[seg])
+        owner = 2 * (np.cumsum(split) - 1)[seg] + going_right
+        node_tree = np.repeat(node_tree[parents], 2)
+        first_id += k
+        depth += 1
+    # Renumber tree by tree; a stable sort keeps each tree's level order.
+    node_tree, feature, value, left, counts = (np.concatenate(c) for c in zip(*levels))
+    order = np.argsort(node_tree, kind="stable")
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(order.size)
+    left = left[order]
+    left[left >= 0] = new_id[left[left >= 0]]
+    roots = np.searchsorted(node_tree[order], np.arange(len(rngs))).astype(np.int32)
+    return feature[order], value[order], left, counts[order], roots
+
+
+def _best_cuts(
+    X: np.ndarray,
+    ranks: np.ndarray,
+    rows: np.ndarray,
+    weight: np.ndarray,
+    attack: np.ndarray,
+    seg: np.ndarray,
+    features: np.ndarray,
+    total: np.ndarray,
+    ones: np.ndarray,
+    min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(score, feature, threshold) of the best cut of every open node, score inf if none.
+
+    Element i belongs to open node seg[i], which tries features[seg[i]] in
+    order. Per feature slot, one integer argsort puts the elements in (node,
+    rank) order; each node's run of elements then gives every cut's class
+    counts by cumulative sums. Same arithmetic and tie order as _best_split.
+    """
+    n, d = X.shape
+    flat_X = X.ravel()
+    k = total.size
+    sizes = np.bincount(seg, minlength=k)
+    starts = np.cumsum(sizes) - sizes
+    node = np.repeat(np.arange(k), sizes)  # node of each element once sorted
+    at = node[:-1]  # node of the cut after each sorted element
+    inside = node[1:] == at
+    n_node, ones_node = total[at], ones[at]
+    seg_key = seg * n
+    best = np.full(k, np.inf)
+    cut_feature = np.zeros(k, dtype=np.int64)
+    cut_value = np.zeros(k)
+    for slot in features.T:
+        order = np.argsort(seg_key + ranks[slot[seg] * n + rows])
+        xs = flat_X[rows[order] * d + slot[node]]
+        # Taking the previous node's totals off each run's first element makes
+        # the running sums restart at every node.
+        w, a = weight[order], attack[order]
+        w[starts[1:]] -= total[:-1]
+        a[starts[1:]] -= ones[:-1]
+        n_left, ones_left = np.cumsum(w)[:-1], np.cumsum(a)[:-1]
+        n_right = n_node - n_left
+        ones_right = ones_node - ones_left
+        # The cut after a run's last element has nothing on its right; it is masked below.
+        with np.errstate(invalid="ignore"):
+            score = _gini(n_left - ones_left, ones_left, n_left)
+            score *= n_left
+            right = _gini(n_right - ones_right, ones_right, n_right)
+            right *= n_right
+        score += right
+        score /= n_node
+        valid = xs[1:] > xs[:-1]
+        valid &= inside
+        if min_leaf > 1:
+            valid &= (n_left >= min_leaf) & (n_right >= min_leaf)
+        score[~valid] = np.inf
+        low = np.minimum.reduceat(score, starts)
+        # Every run holds its minimum, so the first hit at or after its start is its own.
+        hits = np.flatnonzero(score == low[at])
+        first = hits[np.searchsorted(hits, starts)]
+        better = low < best
+        best[better] = low[better]
+        cut_feature[better] = slot[better]
+        j = first[better]
+        cut_value[better] = (xs[j] + xs[j + 1]) / 2.0
+    return best, cut_feature, cut_value
+
+
+def _gini(zeros: np.ndarray, ones: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """1 - (zeros/size)^2 - (ones/size)^2, rounded step by step as _best_split does."""
+    gini = np.divide(zeros, size)
+    np.square(gini, out=gini)
+    np.subtract(1.0, gini, out=gini)
+    attack = np.divide(ones, size)
+    np.square(attack, out=attack)
+    gini -= attack
+    return gini
+
+
+def rf_fit_oracle(
+    X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), seed: int | None = None
+) -> ForestModel:
+    """rf_fit's forest grown one tree and one node at a time through _best_split.
+
+    The same streams, draws and node table as rf_fit, with each bag kept as
+    drawn (repeated rows and all) and each depth's nodes visited in level
+    order. The test oracle for rf_fit, as lof_brute_oracle is for the lof
+    detector.
+    """
+    X, y, n_split, seed = _training_inputs(X, y, config, seed)
+    n, d = X.shape
+    parts = []
+    for t in range(config.n_trees):
+        rng = rng_for(seed, "tree", t)
+        feature, value, left, counts = [], [], [], []
+        level = [rng.integers(0, n, size=n)]
+        depth = 0
+        while level:
+            total = np.array([idx.size for idx in level])
+            ones = np.array([int(y[idx].sum()) for idx in level])
+            counts += zip(total - ones, ones)
+            can_split = _splittable(total, ones, depth, config)
+            if not can_split.any():
+                feature += [-1] * len(level)
+                value += [0.0] * len(level)
+                left += [-1] * len(level)
+                break
+            tries = iter(_features(rng.random((int(can_split.sum()), d)), n_split))
+            first_child = len(feature) + len(level)
+            children = []
+            for idx, can in zip(level, can_split):
+                cut = _best_split(X, y, idx, next(tries), config.min_leaf) if can else None
+                if cut is None:
+                    feature.append(-1)
+                    value.append(0.0)
+                    left.append(-1)
+                    continue
+                f, v = cut
+                feature.append(f)
+                value.append(v)
+                left.append(first_child + len(children))
+                going_left = X[:, f][idx] < v
+                children += [idx[going_left], idx[~going_left]]
+            level = children
+            depth += 1
+        parts.append(
+            (
+                np.array(feature, dtype=np.int32),
+                np.array(value, dtype=np.float64),
+                np.array(left, dtype=np.int32),
+                np.array(counts, dtype=np.int32),
+                np.zeros(1, dtype=np.int32),
+            )
+        )
+    return _assemble(parts, config, d)
+
+
+def rf_predict(model: ForestModel, X: np.ndarray) -> np.ndarray:
+    """Majority vote over the trees; an exact tie, in a leaf or in the vote, is attack."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.feature_count:
+        raise ValueError(
+            f"matrix has shape {X.shape}, model expects (*, {model.feature_count})"
+        )
+    votes = np.zeros(X.shape[0], dtype=np.int64)
+    if X.shape[0] == 0:
+        return votes
+    attack = model.counts[:, 1] >= model.counts[:, 0]
+    per_chunk = max(1, _CHUNK_PAIRS // X.shape[0])
+    for t in range(0, model.roots.size, per_chunk):
+        roots = model.roots[t : t + per_chunk]
+        leaves = leaf_nodes(model.feature, model.value, model.left, model.right, roots, X)
+        votes += attack[leaves].sum(axis=0)
+    return (2 * votes >= model.roots.size).astype(np.int64)

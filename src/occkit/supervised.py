@@ -1,11 +1,10 @@
 """Supervised random-forest baseline and the attack-omission experiment.
 
-The forest is a plain CART ensemble (gini splits, bootstrap resampling,
-random feature subsets per node) built here so tree internals stay
-inspectable and deterministic. The omission driver removes every size-k
-combination of attack types from the training folds, optionally adds a
-uniform-noise arm labeled as attack, and evaluates against test folds that
-always retain every attack type.
+The forest itself (config, model, fit, predict) lives in `occkit.forest` and
+is re-exported here. The omission driver removes every size-k combination of
+attack types from the training folds, optionally adds a uniform-noise arm
+labeled as attack, and evaluates against test folds that always retain every
+attack type.
 """
 
 from __future__ import annotations
@@ -24,9 +23,9 @@ from .dataset import (
     omit_attack_types,
     stratified_split,
 )
+from .forest import ForestConfig, ForestModel, gini_impurity, rf_fit, rf_predict
 from .metrics import confusion, mean_std, metric_row
 from .seeding import derive_seed, rng_for
-from .trees import grow, leaf_values
 
 __all__ = [
     "ForestConfig",
@@ -43,153 +42,6 @@ __all__ = [
 ]
 
 OMISSION_METRICS = ("accuracy", "attack_precision", "attack_recall", "attack_f1", "macro_f1")
-
-
-@dataclass(frozen=True)
-class ForestConfig:
-    """Forest hyperparameters; features_per_split defaults to ceil(sqrt(d))."""
-
-    n_trees: int = 100
-    max_depth: int | None = None
-    min_leaf: int = 1
-    features_per_split: int | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_leaf < 1:
-            raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ValueError(f"features_per_split must be >= 1, got {self.features_per_split}")
-
-
-@dataclass(frozen=True)
-class ForestModel:
-    """Fitted forest: serializable tree dicts plus the config that grew them."""
-
-    trees: tuple[dict, ...]
-    config: ForestConfig
-    feature_count: int
-
-
-def gini_impurity(class_counts: Sequence[int]) -> float:
-    """1 - sum((c_i / total)^2) over the class counts.
-
-    Raises:
-        ValueError: if any count is negative or all counts are zero.
-    """
-    counts = list(class_counts)
-    if any(c < 0 for c in counts):
-        raise ValueError(f"class counts must be non-negative, got {counts}")
-    total = sum(counts)
-    if total == 0:
-        raise ValueError("class counts are all zero")
-    return 1.0 - sum((c / total) ** 2 for c in counts)
-
-
-def _best_split(
-    X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndarray, min_leaf: int
-) -> tuple[int, float] | None:
-    """Gini-minimizing (feature, midpoint threshold) for one node, or None."""
-    node_y = y[idx]
-    n = idx.size
-    total_ones = int(node_y.sum())
-    total_zeros = n - total_ones
-    best_score = np.inf
-    best: tuple[int, float] | None = None
-    for f in features:
-        values = X[idx, f]
-        order = np.argsort(values, kind="stable")
-        vs = values[order]
-        ys = node_y[order]
-        cut_ok = vs[1:] > vs[:-1]
-        if not cut_ok.any():
-            continue
-        n_left = np.arange(1, n)
-        ones_left = np.cumsum(ys)[:-1]
-        zeros_left = n_left - ones_left
-        ones_right = total_ones - ones_left
-        zeros_right = total_zeros - zeros_left
-        n_right = n - n_left
-        gini_left = 1.0 - (zeros_left / n_left) ** 2 - (ones_left / n_left) ** 2
-        gini_right = 1.0 - (zeros_right / n_right) ** 2 - (ones_right / n_right) ** 2
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        valid = cut_ok & (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not valid.any():
-            continue
-        weighted = np.where(valid, weighted, np.inf)
-        j = int(np.argmin(weighted))
-        if weighted[j] < best_score:
-            best_score = float(weighted[j])
-            best = (int(f), float((vs[j] + vs[j + 1]) / 2.0))
-    return best
-
-
-def rf_fit(
-    X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), seed: int | None = None
-) -> ForestModel:
-    """Grow a forest of CART trees on bootstrap resamples.
-
-    Raises:
-        ValueError: with fewer than 2 rows or a single class in y.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ValueError(f"bad shapes: X {X.shape}, y {y.shape}")
-    n, d = X.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 training rows, got {n}")
-    if len(np.unique(y)) < 2:
-        raise ValueError("training data must contain both classes")
-    n_split = config.features_per_split or math.ceil(math.sqrt(d))
-    n_split = min(n_split, d)
-    rng = np.random.default_rng(config.seed if seed is None else seed)
-
-    def leaf(idx: np.ndarray) -> dict:
-        ones = int(y[idx].sum())
-        return {"counts": [int(idx.size) - ones, ones]}
-
-    def split(idx: np.ndarray, depth: int, payload: dict):
-        if (
-            0 in payload["counts"]
-            or idx.size < 2 * config.min_leaf
-            or (config.max_depth is not None and depth >= config.max_depth)
-        ):
-            return None
-        features = rng.choice(d, size=n_split, replace=False)
-        best = _best_split(X, y, idx, features, config.min_leaf)
-        if best is None:
-            return None
-        feature, value = best
-        return feature, value, X[:, feature][idx] < value
-
-    # Each tree draws its bootstrap bag before growing.
-    trees = tuple(grow(rng.integers(0, n, size=n), split, leaf) for _ in range(config.n_trees))
-    return ForestModel(trees=trees, config=config, feature_count=d)
-
-
-def _vote(leaf: dict, depth: int) -> float:
-    """A leaf's 0/1 vote; ties go to attack."""
-    return 1.0 if leaf["counts"][1] >= leaf["counts"][0] else 0.0
-
-
-def rf_predict(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Majority vote over the trees; an exact tie is classified as attack."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.feature_count:
-        raise ValueError(
-            f"matrix has shape {X.shape}, model expects (*, {model.feature_count})"
-        )
-    if X.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    votes = np.zeros(X.shape[0], dtype=np.float64)
-    for tree in model.trees:
-        votes += leaf_values(tree, X, _vote)
-    return (2 * votes >= len(model.trees)).astype(np.int64)
 
 
 def augment_with_noise(train: Dataset, seed: int) -> Dataset:

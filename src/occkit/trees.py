@@ -1,9 +1,13 @@
-"""One grower and one walker for every binary tree in occkit.
+"""Growers and walkers for the binary trees in occkit.
 
-Trees are nested dicts, persisted as plain JSON. An internal node is
-{"feature", "value", "left", "right"} and sends rows with
+The detector forests keep nested dicts, persisted as plain JSON: an internal
+node is {"feature", "value", "left", "right"} and sends rows with
 X[:, feature] < value left; any other dict is a leaf carrying its forest's
-payload (isolation mass, class counts).
+payload (isolation mass). `grow` and `leaf_values` build and walk them.
+
+The CART forest keeps one flat node table per forest instead: parallel arrays
+feature, value, left and right, with left == -1 at a leaf, and one root per
+tree. `leaf_nodes` walks such a table.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["grow", "leaf_values"]
+__all__ = ["grow", "leaf_values", "leaf_nodes"]
 
 
 def grow(root_idx: np.ndarray, split: Callable, leaf: Callable) -> dict:
@@ -61,3 +65,29 @@ def leaf_values(tree: dict, X: np.ndarray, value: Callable) -> np.ndarray:
         stack.append((node["left"], idx[going_left], depth + 1))
         stack.append((node["right"], idx[~going_left], depth + 1))
     return out
+
+
+def leaf_nodes(
+    feature: np.ndarray,
+    value: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    roots: np.ndarray,
+    X: np.ndarray,
+) -> np.ndarray:
+    """Leaf each row of X reaches in each tree of a flat table, shape (len(roots), n).
+
+    Every (tree, row) pair descends one level per step, all pairs together; a
+    pair drops out once it stands on a leaf.
+    """
+    n, d = X.shape
+    flat_X = np.ascontiguousarray(X).ravel()
+    node = np.repeat(np.asarray(roots, dtype=np.intp), n)
+    active = np.flatnonzero(left[node] >= 0)
+    while active.size:
+        at = node[active]
+        going_left = flat_X[active % n * d + feature[at]] < value[at]
+        at = np.where(going_left, left[at], right[at])
+        node[active] = at
+        active = active[left[at] >= 0]
+    return node.reshape(len(roots), n)

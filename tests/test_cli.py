@@ -430,6 +430,20 @@ def test_main_report_names_short_csv_row(occ_run, tmp_path, capsys):
     assert f"data row 3 has {width - 1} cells, expected {width}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["drop", "not-an-object"])
+def test_main_report_names_block_without_metrics(occ_run, tmp_path, capsys, damage):
+    damaged = _copy_run(occ_run, tmp_path / "damaged")
+    stored = json.loads((damaged / "report.json").read_text())
+    name = sorted(stored["blocks"])[0]
+    if damage == "drop":
+        del stored["blocks"][name]["metrics"]
+    else:
+        stored["blocks"][name]["metrics"] = [1, 2]
+    (damaged / "report.json").write_text(json.dumps(stored))
+    assert main(["report", "--run-dir", str(damaged)]) == 3
+    assert f"block {name!r} has no 'metrics' object" in capsys.readouterr().err
+
+
 def test_main_demo_runs(tmp_path):
     assert main(["demo", "--out", str(tmp_path), "--seed", "3"]) == 0
     assert (tmp_path / "demo").is_dir()

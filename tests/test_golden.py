@@ -40,8 +40,8 @@ def _only(out: Path, pattern: str) -> Path:
         (
             "omission",
             "demo-omission.json",
-            "9b79ec0d2a21581513af126352bab08edb2f27bd933147fb37391bf847d21ef3",
-            "5069adf16620495883ec090f15479c4429a0076adf1fa09b1b2d8d95a32afb52",
+            "9d5c96857bfd44acc469c7510456ff49be218f6859318ba1be9ef28655cd6ee0",
+            "19d3ad2e0fc20ddab26b92d95ede462dd8774409a2efdcde114dbad6c8bbc07a",
         ),
     ],
 )

@@ -1,9 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from occkit import forest
 from occkit.dataset import Dataset, generate_gaussian_demo
+from occkit.forest import rf_fit_oracle
 from occkit.supervised import (
     ForestConfig,
     ForestModel,
@@ -85,17 +90,28 @@ def test_rf_empty_probe():
     assert rf_predict(model, np.zeros((0, 2))).shape == (0,)
 
 
+def _leaf_forest(*counts):
+    """One single-leaf tree per (normal, attack) count pair."""
+    k = len(counts)
+    return ForestModel(
+        feature=np.full(k, -1),
+        value=np.zeros(k),
+        left=np.full(k, -1),
+        right=np.full(k, -1),
+        counts=np.array(counts),
+        roots=np.arange(k),
+        config=ForestConfig(n_trees=k),
+        feature_count=1,
+    )
+
+
 def test_rf_tie_vote_is_attack():
-    leaf0 = {"counts": [3, 0]}
-    leaf1 = {"counts": [0, 3]}
-    model = ForestModel(trees=(leaf0, leaf1), config=ForestConfig(n_trees=2), feature_count=1)
+    model = _leaf_forest([3, 0], [0, 3])
     assert rf_predict(model, np.array([[0.5]]))[0] == 1
 
 
 def test_rf_leaf_tie_is_attack():
-    model = ForestModel(
-        trees=({"counts": [2, 2]},), config=ForestConfig(n_trees=1), feature_count=1
-    )
+    model = _leaf_forest([2, 2])
     assert rf_predict(model, np.array([[0.0]]))[0] == 1
 
 
@@ -104,19 +120,19 @@ def test_rf_split_values_inside_node_range():
     model = rf_fit(X, y, ForestConfig(n_trees=10), seed=2)
 
     def check(node, lo, hi):
-        if "counts" in node:
+        if model.left[node] < 0:
             return
-        f, v = node["feature"], node["value"]
+        f, v = model.feature[node], model.value[node]
         assert lo[f] <= v <= hi[f]
         left_hi = hi.copy()
         left_hi[f] = v
         right_lo = lo.copy()
         right_lo[f] = v
-        check(node["left"], lo, left_hi)
-        check(node["right"], right_lo, hi)
+        check(model.left[node], lo, left_hi)
+        check(model.right[node], right_lo, hi)
 
-    for tree in model.trees:
-        check(tree, np.full(2, -np.inf), np.full(2, np.inf))
+    for root in model.roots:
+        check(root, np.full(2, -np.inf), np.full(2, np.inf))
 
 
 def test_rf_majority_matches_brute_force_over_serialized_trees():
@@ -126,13 +142,81 @@ def test_rf_majority_matches_brute_force_over_serialized_trees():
     got = rf_predict(model, probes)
 
     def tree_vote(node, x):
-        while "counts" not in node:
-            node = node["left"] if x[node["feature"]] < node["value"] else node["right"]
-        return 1 if node["counts"][1] >= node["counts"][0] else 0
+        while model.left[node] >= 0:
+            node = model.left[node] if x[model.feature[node]] < model.value[node] else model.right[node]
+        return 1 if model.counts[node][1] >= model.counts[node][0] else 0
 
     for i, x in enumerate(probes):
-        votes = sum(tree_vote(t, x) for t in model.trees)
-        assert got[i] == (1 if 2 * votes >= len(model.trees) else 0)
+        votes = sum(tree_vote(root, x) for root in model.roots)
+        assert got[i] == (1 if 2 * votes >= len(model.roots) else 0)
+
+
+_TABLE = ("feature", "value", "left", "right", "counts", "roots")
+
+
+def _assert_same_table(got, want):
+    for name in _TABLE:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@st.composite
+def _forest_cases(draw):
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # Few decimals and a small value range force tied values and duplicate rows.
+    X = np.round(rng.uniform(0, draw(st.sampled_from([1.0, 3.0])), size=(n, d)), draw(st.integers(0, 2)))
+    y = rng.integers(0, 2, size=n)
+    y[: 2] = (0, 1)
+    config = ForestConfig(
+        n_trees=draw(st.integers(1, 12)),
+        max_depth=draw(st.one_of(st.none(), st.integers(1, 6))),
+        min_leaf=draw(st.integers(1, 4)),
+        features_per_split=draw(st.integers(1, d)),
+    )
+    return X, y, config, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(_forest_cases())
+def test_rf_fit_table_equals_node_by_node_oracle(case):
+    X, y, config, seed = case
+    _assert_same_table(rf_fit(X, y, config, seed=seed), rf_fit_oracle(X, y, config, seed=seed))
+
+
+def test_rf_fit_table_does_not_depend_on_chunking(monkeypatch):
+    X, y = _blobs(10, n=120, centers=((0.48, 0.48), (0.52, 0.52)))
+    X = np.round(X, 2)  # overlapping classes and tied values grow deep trees
+    config = ForestConfig(n_trees=25, min_leaf=2)
+    batched = rf_fit(X, y, config, seed=4)
+    monkeypatch.setattr(forest, "_CHUNK_PAIRS", 1)
+    one_tree_at_a_time = rf_fit(X, y, config, seed=4)
+    _assert_same_table(one_tree_at_a_time, batched)
+    probes = np.random.default_rng(11).uniform(size=(50, 2))
+    assert np.array_equal(rf_predict(batched, probes), rf_predict(one_tree_at_a_time, probes))
+
+
+def test_rf_fit_and_predict_hold_little_memory():
+    # Overlapping classes grow deep trees, like the noise arm of the omission grid.
+    rng = np.random.default_rng(12)
+    X = rng.uniform(size=(1300, 2))
+    y = (X.sum(axis=1) + rng.normal(0, 0.3, size=1300) > 1.0).astype(np.int64)
+    # A first small fit does the one-time imports (np.unique pulls in numpy.ma).
+    rf_predict(rf_fit(X[:50], y[:50], ForestConfig(n_trees=2), seed=0), X[:5])
+    tracemalloc.start()
+    try:
+        model = rf_fit(X, y, ForestConfig(n_trees=100), seed=5)
+        fit_peak = tracemalloc.get_traced_memory()[1]
+        probes = np.random.default_rng(13).uniform(size=(10_000, 2))
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rf_predict(model, probes)
+        predict_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert fit_peak <= 4 * 2**20
+    assert predict_peak <= 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

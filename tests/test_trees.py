@@ -1,6 +1,6 @@
 import numpy as np
 
-from occkit.trees import grow, leaf_values
+from occkit.trees import grow, leaf_nodes, leaf_values
 
 
 def _halving_tree(X, visits):
@@ -46,3 +46,43 @@ def test_leaf_values_matches_row_by_row_descent():
     assert got.dtype == np.float64
     assert got.tolist() == [descend(x) for x in probes]
     assert leaf_values(tree, probes[:0], lambda leaf, depth: 1.0).shape == (0,)
+
+
+def _flatten(trees):
+    """Flat (feature, value, left, right, roots) table of dict trees, level order."""
+    feature, value, left, right, roots = [], [], [], [], []
+    for tree in trees:
+        roots.append(len(feature))
+        queue = [tree]
+        while queue:
+            node = queue.pop(0)
+            if "feature" in node:
+                child = len(feature) + len(queue) + 1
+                feature.append(node["feature"])
+                value.append(node["value"])
+                left.append(child)
+                right.append(child + 1)
+                queue += [node["left"], node["right"]]
+            else:
+                feature.append(-1)
+                value.append(0.0)
+                left.append(-1)
+                right.append(-1)
+    return tuple(np.array(a) for a in (feature, value, left, right, roots))
+
+
+def test_leaf_nodes_matches_row_by_row_descent():
+    rng = np.random.default_rng(5)
+    trees = [_halving_tree(rng.uniform(size=(n, 2)), []) for n in (1, 7, 30)]
+    feature, value, left, right, roots = _flatten(trees)
+    probes = rng.uniform(size=(100, 2))
+
+    def descend(node, x):
+        while left[node] >= 0:
+            node = left[node] if x[feature[node]] < value[node] else right[node]
+        return node
+
+    got = leaf_nodes(feature, value, left, right, roots, probes)
+    assert got.shape == (3, 100)
+    assert got.tolist() == [[descend(root, x) for x in probes] for root in roots]
+    assert leaf_nodes(feature, value, left, right, roots, probes[:0]).shape == (3, 0)
