@@ -233,9 +233,8 @@ class Dataset:
             raise ValueError("attack_type length must equal row count")
         if X.shape[1] != len(self.feature_names):
             raise ValueError("feature_names length must equal column count")
-        for label, tag in zip(y, self.attack_type):
-            if label == 0 and tag != "":
-                raise ValueError("normal rows must have an empty attack_type")
+        if (np.fromiter(self.attack_type, object, X.shape[0])[y == 0] != "").any():
+            raise ValueError("normal rows must have an empty attack_type")
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "X", X)
@@ -255,7 +254,7 @@ class Dataset:
         return Dataset(
             X=self.X[idx],
             y=self.y[idx],
-            attack_type=tuple(self.attack_type[i] for i in idx),
+            attack_type=tuple(np.fromiter(self.attack_type, object, self.n_rows)[idx].tolist()),
             feature_names=self.feature_names,
         )
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import Threshold
-from .trees import grow, leaf_values
+from .trees import leaf_sums
 
 __all__ = [
     "VARIANTS",
@@ -53,7 +53,10 @@ LRD_SENTINEL = 1e12
 # Attempts to find a non-degenerate split-at-datum cut before giving up on a node.
 _SPLIT_RETRIES = 8
 
-PERSIST_FORMAT_VERSION = 1
+# The arrays of a forest detector's node table (`occkit.trees`), as persisted.
+_TABLE = ("feature", "value", "left", "roots", "path_length")
+
+PERSIST_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -165,52 +168,56 @@ def _check_matrix(X: np.ndarray) -> np.ndarray:
 # forest variants
 
 
-def _mass_leaf(idx: np.ndarray) -> dict:
-    return {"mass": int(idx.size)}
-
-
-def _path_length(leaf: dict, depth: int) -> float:
-    return depth + _leaf_adjustment(leaf["mass"])
-
-
 class _ForestDetector(FittedDetector):
     """Shared growth, scoring and state for the two tree ensembles.
 
     Each tree grows on a subsample drawn without replacement, at most
     ceil(log2(subsample)) levels deep. A subclass supplies only
     `_cut(X, idx, rng)`: a (feature, value, going_left) cut of rows idx into
-    two non-empty sides, or None.
+    two non-empty sides, or None. The forest is one node table
+    (`occkit.trees`) whose payload is each leaf's path length, depth + c(mass).
     """
 
-    def __init__(self, config: DetectorConfig, feature_count: int, trees: list[dict]) -> None:
+    def __init__(self, config: DetectorConfig, feature_count: int, **table: np.ndarray) -> None:
+        """`table` holds the arrays named in _TABLE; path_length is the leaf payload."""
         super().__init__(config, feature_count)
-        self.trees = trees
+        self.feature, self.value, self.left, self.roots, self.path_length = (
+            np.asarray(table[name]) for name in _TABLE
+        )
 
     @classmethod
     def fit(cls, config: DetectorConfig, X: np.ndarray) -> _ForestDetector:
+        """Grow each tree depth first, left before right, so `_cut` draws in that order."""
         rng = np.random.default_rng(config.seed)
         effective = min(config.subsample, X.shape[0])
         limit = math.ceil(math.log2(effective)) if effective > 1 else 0
-
-        def split(idx: np.ndarray, depth: int, payload: dict):
-            if idx.size <= 1 or depth >= limit:
-                return None
-            return cls._cut(X, idx, rng)
-
-        trees = [
-            grow(rng.permutation(X.shape[0])[:effective], split, _mass_leaf)
-            for _ in range(config.n_trees)
-        ]
-        return cls(config, X.shape[1], trees)
+        nodes, roots = [], []  # nodes[i] is node i's (feature, value, left, path length)
+        for _ in range(config.n_trees):
+            roots.append(len(nodes))
+            nodes.append(None)
+            stack = [(roots[-1], rng.permutation(X.shape[0])[:effective], 0)]
+            while stack:
+                node, idx, depth = stack.pop()
+                cut = None if idx.size <= 1 or depth >= limit else cls._cut(X, idx, rng)
+                if cut is None:
+                    nodes[node] = (-1, 0.0, -1, depth + _leaf_adjustment(idx.size))
+                    continue
+                feature, value, going_left = cut
+                child = len(nodes)
+                nodes[node] = (feature, value, child, 0.0)
+                nodes += (None, None)
+                stack.append((child + 1, idx[~going_left], depth + 1))
+                stack.append((child, idx[going_left], depth + 1))
+        table = dict(zip(("feature", "value", "left", "path_length"), zip(*nodes)), roots=roots)
+        return cls(config, X.shape[1], **table)
 
     def score(self, X: np.ndarray) -> np.ndarray:
-        total = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.trees:
-            total += leaf_values(tree, X, _path_length)
-        return total / len(self.trees)
+        total = leaf_sums(self.feature, self.value, self.left, self.roots, self.path_length, X)
+        return total / self.roots.size
 
     def _state(self) -> dict:
-        return {"feature_count": self.feature_count, "trees": self.trees}
+        table = {name: getattr(self, name).tolist() for name in _TABLE}
+        return {"feature_count": self.feature_count, **table}
 
 
 class IsolationForestDetector(_ForestDetector):
@@ -489,7 +496,7 @@ def load_detector(path: str | Path) -> FittedDetector:
     variant = payload["variant"]
     if variant in ("isolation-forest", "stochastic-forest"):
         cls = _VARIANT_CLASSES[variant]
-        det = cls(config, state["feature_count"], state["trees"])
+        det = cls(config, state["feature_count"], **{name: state[name] for name in _TABLE})
     elif variant == "lof":
         det = LofDetector(
             config,

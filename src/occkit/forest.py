@@ -3,9 +3,9 @@
 A plain CART ensemble (gini splits, bootstrap resampling, random feature
 subsets per node) built here so tree internals stay inspectable and
 deterministic. `rf_fit` grows the trees of a chunk together, level by level,
-into one flat node table per forest; `rf_fit_oracle` grows the same table
-node by node and is its test oracle; `rf_predict` walks the table with
-`trees.leaf_nodes`.
+into one flat node table per forest (`occkit.trees`); `rf_fit_oracle` grows
+the same table node by node and is its test oracle; `rf_predict` counts the
+trees' votes with `trees.leaf_sums`.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import trees
 from .seeding import rng_for
-from .trees import leaf_nodes
 
 __all__ = [
     "ForestConfig",
@@ -56,7 +56,7 @@ class ForestModel:
     """Fitted forest as one flat node table, plus the config that grew it.
 
     Node i sends rows with X[:, feature[i]] < value[i] to node left[i] and the
-    others to right[i]; a leaf has feature, left and right -1 and value 0.
+    others to left[i] + 1; a leaf has feature and left -1 and value 0.
     counts[i] holds the node's (normal, attack) bagged-row counts. Tree t
     starts at node roots[t] and its nodes follow in level order, left child
     before right.
@@ -65,18 +65,10 @@ class ForestModel:
     feature: np.ndarray
     value: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     counts: np.ndarray
     roots: np.ndarray
     config: ForestConfig
     feature_count: int
-
-
-# Most (tree, row) pairs rf_fit grows, and rf_predict walks, at once: trees go
-# through both in chunks of max(1, _CHUNK_PAIRS // rows) trees. At 1 << 14 a
-# 100-tree fit on 1,300 rows peaks near 2.5 MB of heap; each doubling about
-# doubles that, for up to ~20% less fit time.
-_CHUNK_PAIRS = 1 << 14
 
 
 def gini_impurity(class_counts: Sequence[int]) -> float:
@@ -164,14 +156,12 @@ def _features(keys: np.ndarray, n_split: int) -> np.ndarray:
 def _assemble(parts: list[tuple], config: ForestConfig, d: int) -> ForestModel:
     """One ForestModel from (feature, value, left, counts, roots) tables numbered from 0."""
     offsets = list(itertools.accumulate([part[0].size for part in parts], initial=0))
-    left = np.concatenate(
-        [np.where(part[2] >= 0, part[2] + offset, -1) for part, offset in zip(parts, offsets)]
-    )
     return ForestModel(
         feature=np.concatenate([part[0] for part in parts]),
         value=np.concatenate([part[1] for part in parts]),
-        left=left,
-        right=np.where(left >= 0, left + 1, -1),
+        left=np.concatenate(
+            [np.where(part[2] >= 0, part[2] + offset, -1) for part, offset in zip(parts, offsets)]
+        ),
         counts=np.concatenate([part[3] for part in parts]),
         roots=np.concatenate([part[4] + offset for part, offset in zip(parts, offsets)]),
         config=config,
@@ -202,7 +192,7 @@ def rf_fit(
     ranks = np.empty(d * n, dtype=np.int64)
     for f in range(d):
         ranks[f * n + np.argsort(X[:, f], kind="stable")] = np.arange(n)
-    per_chunk = max(1, _CHUNK_PAIRS // n)
+    per_chunk = max(1, trees._CHUNK_PAIRS // n)
     parts = [
         _grow_chunk(X, y, ranks, seed, range(t, min(t + per_chunk, config.n_trees)), n_split, config)
         for t in range(0, config.n_trees, per_chunk)
@@ -215,11 +205,11 @@ def _grow_chunk(
     y: np.ndarray,
     ranks: np.ndarray,
     seed: int,
-    trees: range,
+    chunk: range,
     n_split: int,
     config: ForestConfig,
 ) -> tuple:
-    """Node table of `trees`, grown together one depth at a time.
+    """Node table of the trees in `chunk`, grown together one depth at a time.
 
     Each bagged row of each tree is one element, weighted by how often the bag
     drew it; `owner` is the element's node among the current depth's nodes,
@@ -227,7 +217,7 @@ def _grow_chunk(
     """
     n, d = X.shape
     flat_X = X.ravel()
-    rngs = [rng_for(seed, "tree", t) for t in trees]
+    rngs = [rng_for(seed, "tree", t) for t in chunk]
     rows, weight = [], []
     for rng in rngs:
         bag = np.bincount(rng.integers(0, n, size=n), minlength=n)
@@ -432,13 +422,6 @@ def rf_predict(model: ForestModel, X: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"matrix has shape {X.shape}, model expects (*, {model.feature_count})"
         )
-    votes = np.zeros(X.shape[0], dtype=np.int64)
-    if X.shape[0] == 0:
-        return votes
-    attack = model.counts[:, 1] >= model.counts[:, 0]
-    per_chunk = max(1, _CHUNK_PAIRS // X.shape[0])
-    for t in range(0, model.roots.size, per_chunk):
-        roots = model.roots[t : t + per_chunk]
-        leaves = leaf_nodes(model.feature, model.value, model.left, model.right, roots, X)
-        votes += attack[leaves].sum(axis=0)
+    attack = (model.counts[:, 1] >= model.counts[:, 0]).astype(np.float64)
+    votes = trees.leaf_sums(model.feature, model.value, model.left, model.roots, attack, X)
     return (2 * votes >= model.roots.size).astype(np.int64)

@@ -1,93 +1,92 @@
-"""Growers and walkers for the binary trees in occkit.
+"""The flat node table every forest in occkit is stored as, and its one walker.
 
-The detector forests keep nested dicts, persisted as plain JSON: an internal
-node is {"feature", "value", "left", "right"} and sends rows with
-X[:, feature] < value left; any other dict is a leaf carrying its forest's
-payload (isolation mass). `grow` and `leaf_values` build and walk them.
-
-The CART forest keeps one flat node table per forest instead: parallel arrays
-feature, value, left and right, with left == -1 at a leaf, and one root per
-tree. `leaf_nodes` walks such a table.
+A forest is parallel arrays over its nodes, one root per tree: node i sends
+rows with X[:, feature[i]] < value[i] to node left[i] and the others (a NaN
+included) to node left[i] + 1; a leaf has left[i] == -1. Each forest attaches a
+per-node payload that only its leaves use (a CART tree's vote, a detector
+tree's path length), and `leaf_sums` adds up the payload of the leaf each row
+reaches in every tree.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-__all__ = ["grow", "leaf_values", "leaf_nodes"]
+__all__ = ["leaf_sums"]
+
+# Most (tree, row) pairs a forest is grown or walked with at once, level by
+# level: `forest.rf_fit` grows trees in chunks of max(1, _CHUNK_PAIRS // rows),
+# and `leaf_sums` walks them that way up to _CHUNK_PAIRS rows. At 1 << 14 a
+# 100-tree CART fit on 1,300 rows peaks near 2.5 MB of heap; each doubling
+# about doubles that, for up to ~20% less fit time.
+_CHUNK_PAIRS = 1 << 14
 
 
-def grow(root_idx: np.ndarray, split: Callable, leaf: Callable) -> dict:
-    """Grow a tree over training rows `root_idx`, depth first, left before right.
-
-    At each node `leaf(idx)` builds the payload the node keeps as a leaf, then
-    `split(idx, depth, payload)` returns the cut (feature, value, going_left),
-    with `going_left` a mask over `idx`, or None to keep the leaf. A split rule
-    that draws random numbers thus draws at a node before its left subtree.
-    """
-    return _grow(root_idx, 0, split, leaf)
-
-
-def _grow(idx: np.ndarray, depth: int, split: Callable, leaf: Callable) -> dict:
-    # Recursing through a module-level function, not a nested closure, avoids a
-    # reference cycle that would keep `split` (and its training matrix) alive
-    # until the cyclic garbage collector runs.
-    payload = leaf(idx)
-    cut = split(idx, depth, payload)
-    if cut is None:
-        return payload
-    feature, value, going_left = cut
-    return {
-        "feature": feature,
-        "value": value,
-        "left": _grow(idx[going_left], depth + 1, split, leaf),
-        "right": _grow(idx[~going_left], depth + 1, split, leaf),
-    }
-
-
-def leaf_values(tree: dict, X: np.ndarray, value: Callable) -> np.ndarray:
-    """`value(leaf, depth)` of the leaf each row of X lands in, as float64.
-
-    All rows descend together: each node partitions the row indices it holds.
-    """
-    out = np.zeros(X.shape[0], dtype=np.float64)
-    stack = [(tree, np.arange(X.shape[0]), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        if idx.size == 0:
-            continue
-        if "feature" not in node:
-            out[idx] = value(node, depth)
-            continue
-        going_left = X[:, node["feature"]][idx] < node["value"]
-        stack.append((node["left"], idx[going_left], depth + 1))
-        stack.append((node["right"], idx[~going_left], depth + 1))
-    return out
-
-
-def leaf_nodes(
+def leaf_sums(
     feature: np.ndarray,
     value: np.ndarray,
     left: np.ndarray,
-    right: np.ndarray,
     roots: np.ndarray,
+    payload: np.ndarray,
     X: np.ndarray,
 ) -> np.ndarray:
-    """Leaf each row of X reaches in each tree of a flat table, shape (len(roots), n).
+    """Per row of X, the sum over trees, in tree order, of payload at the leaf it reaches.
+
+    Up to _CHUNK_PAIRS rows, the (tree, row) pairs of a chunk of trees descend
+    together one level per step. With more rows, each tree is walked on its
+    own by partitioning the row indices at every node. Both give the same
+    sums; each was the slower one on one side of that row count.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    n = X.shape[0]
+    total = np.zeros(n, dtype=np.float64)
+    if n > _CHUNK_PAIRS:
+        table = feature.tolist(), value.tolist(), left.tolist(), payload.tolist()
+        at_leaf = np.empty(n, dtype=np.float64)
+        for root in roots.tolist():
+            _fill_by_partition(table, root, X, at_leaf)
+            total += at_leaf
+        return total
+    per_chunk = max(1, _CHUNK_PAIRS // max(n, 1))
+    for t in range(0, len(roots), per_chunk):
+        for leaves in _leaf_nodes(feature, value, left, roots[t : t + per_chunk], X):
+            total += payload[leaves]
+    return total
+
+
+def _fill_by_partition(table: tuple, root: int, X: np.ndarray, out: np.ndarray) -> None:
+    """Write into out the payload at the leaf each row of X reaches in the tree at `root`."""
+    feature, value, left, payload = table
+    stack = [(root, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        child = left[node]
+        if child < 0:
+            out[idx] = payload[node]
+            continue
+        going_left = X[:, feature[node]][idx] < value[node]
+        stack.append((child, idx[going_left]))
+        stack.append((child + 1, idx[~going_left]))
+
+
+def _leaf_nodes(
+    feature: np.ndarray, value: np.ndarray, left: np.ndarray, roots: np.ndarray, X: np.ndarray
+) -> np.ndarray:
+    """Leaf each row of X reaches in each tree from `roots`, shape (len(roots), n).
 
     Every (tree, row) pair descends one level per step, all pairs together; a
     pair drops out once it stands on a leaf.
     """
     n, d = X.shape
-    flat_X = np.ascontiguousarray(X).ravel()
+    flat_X = X.ravel()
     node = np.repeat(np.asarray(roots, dtype=np.intp), n)
     active = np.flatnonzero(left[node] >= 0)
     while active.size:
         at = node[active]
-        going_left = flat_X[active % n * d + feature[at]] < value[at]
-        at = np.where(going_left, left[at], right[at])
+        going_right = ~(flat_X[active % n * d + feature[at]] < value[at])
+        at = left[at] + going_right
         node[active] = at
         active = active[left[at] >= 0]
     return node.reshape(len(roots), n)

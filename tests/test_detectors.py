@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from occkit.detectors import (
+    PERSIST_FORMAT_VERSION,
     DetectorConfig,
     VARIANTS,
     fit,
@@ -250,13 +252,14 @@ def test_stochastic_forest_outlier_ranked_last():
 # isolation forest: exhaustive check on two-point subsample trees
 
 
-def _walk(tree, x):
+def _walk(det, root, x):
+    """(depth, node) of the leaf x reaches in the tree at `root`."""
     depth = 0
-    node = tree
-    while "mass" not in node:
-        node = node["left"] if x[node["feature"]] < node["value"] else node["right"]
+    node = root
+    while det.left[node] >= 0:
+        node = det.left[node] if x[det.feature[node]] < det.value[node] else det.left[node] + 1
         depth += 1
-    return depth + isolation_path_adjustment(node["mass"])
+    return depth, node
 
 
 def test_isolation_forest_two_point_trees_enumerated():
@@ -266,10 +269,12 @@ def test_isolation_forest_two_point_trees_enumerated():
     det = fit(cfg, X)
     c2 = isolation_path_adjustment(2)
     paths = []
-    for tree in det.trees:
-        path = _walk(tree, np.array([v]))
-        # a {v,v} pair cannot split (path c(2)); a {v,w} pair splits once (path 1)
-        assert path == pytest.approx(1.0, abs=1e-12) or path == pytest.approx(c2, abs=1e-12)
+    for root in det.roots:
+        depth, leaf = _walk(det, root, np.array([v]))
+        path = det.path_length[leaf]
+        # a {v,v} pair cannot split (depth 0, path c(2)); a {v,w} pair splits once (depth 1, path 1)
+        assert depth in (0, 1)
+        assert path == pytest.approx(1.0 if depth else c2, abs=1e-12)
         paths.append(path)
     expect = float(np.mean(paths))
     got = score(det, np.array([[v]]))[0]
@@ -279,16 +284,30 @@ def test_isolation_forest_two_point_trees_enumerated():
 def test_forest_trees_respect_height_limit():
     X = np.random.default_rng(15).uniform(size=(200, 3))
     for variant in ("isolation-forest", "stochastic-forest"):
-        det = fit(_config(variant, subsample=64), X)
-        limit = math.ceil(math.log2(64))
+        # subsample >= n: every training row is in every tree, so each leaf's
+        # mass is the number of training rows that reach it.
+        det = fit(_config(variant, subsample=256), X)
+        limit = math.ceil(math.log2(200))
+        for root in det.roots:
+            mass = {}
+            for x in X:
+                leaf = _walk(det, root, x)[1]
+                mass[leaf] = mass.get(leaf, 0) + 1
+            for node, depth in _tree_nodes(det, root):
+                assert depth <= limit
+                if det.left[node] < 0:
+                    assert mass.get(node, 0) >= 1
+                    assert det.path_length[node] == depth + isolation_path_adjustment(mass[node])
 
-        def max_depth(node, depth=0):
-            if "mass" in node:
-                assert node["mass"] >= 1
-                return depth
-            return max(max_depth(node["left"], depth + 1), max_depth(node["right"], depth + 1))
 
-        assert all(max_depth(t) <= limit for t in det.trees)
+def _tree_nodes(det, root):
+    """(node, depth) of every node of the tree at `root`."""
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        if det.left[node] >= 0:
+            stack += [(det.left[node], depth + 1), (det.left[node] + 1, depth + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +375,27 @@ def test_load_rejects_unknown_version(tmp_path):
     det = fit(_config("linear-recon"), X)
     path = tmp_path / "model.json"
     save_detector(det, path)
-    payload = path.read_text().replace('"format_version": 1', '"format_version": 99')
+    payload = path.read_text().replace(
+        f'"format_version": {PERSIST_FORMAT_VERSION}', '"format_version": 99'
+    )
+    assert '"format_version": 99' in payload
     path.write_text(payload)
     with pytest.raises(ValueError, match="version"):
+        load_detector(path)
+
+
+def test_load_rejects_version_1_dict_trees(tmp_path):
+    leaf = {"mass": 1}
+    container = {
+        "format_version": 1,
+        "variant": "isolation-forest",
+        "config": {"variant": "isolation-forest", "n_trees": 1, "subsample": 2, "seed": 0},
+        "state": {
+            "feature_count": 1,
+            "trees": [{"feature": 0, "value": 0.5, "left": leaf, "right": leaf}],
+        },
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(container))
+    with pytest.raises(ValueError, match=r"version: 1$"):
         load_detector(path)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occkit import forest
+from occkit import trees
 from occkit.dataset import Dataset, generate_gaussian_demo
 from occkit.forest import rf_fit_oracle
 from occkit.supervised import (
@@ -97,7 +97,6 @@ def _leaf_forest(*counts):
         feature=np.full(k, -1),
         value=np.zeros(k),
         left=np.full(k, -1),
-        right=np.full(k, -1),
         counts=np.array(counts),
         roots=np.arange(k),
         config=ForestConfig(n_trees=k),
@@ -129,7 +128,7 @@ def test_rf_split_values_inside_node_range():
         right_lo = lo.copy()
         right_lo[f] = v
         check(model.left[node], lo, left_hi)
-        check(model.right[node], right_lo, hi)
+        check(model.left[node] + 1, right_lo, hi)
 
     for root in model.roots:
         check(root, np.full(2, -np.inf), np.full(2, np.inf))
@@ -143,7 +142,8 @@ def test_rf_majority_matches_brute_force_over_serialized_trees():
 
     def tree_vote(node, x):
         while model.left[node] >= 0:
-            node = model.left[node] if x[model.feature[node]] < model.value[node] else model.right[node]
+            going_left = x[model.feature[node]] < model.value[node]
+            node = model.left[node] if going_left else model.left[node] + 1
         return 1 if model.counts[node][1] >= model.counts[node][0] else 0
 
     for i, x in enumerate(probes):
@@ -151,7 +151,7 @@ def test_rf_majority_matches_brute_force_over_serialized_trees():
         assert got[i] == (1 if 2 * votes >= len(model.roots) else 0)
 
 
-_TABLE = ("feature", "value", "left", "right", "counts", "roots")
+_TABLE = ("feature", "value", "left", "counts", "roots")
 
 
 def _assert_same_table(got, want):
@@ -190,7 +190,7 @@ def test_rf_fit_table_does_not_depend_on_chunking(monkeypatch):
     X = np.round(X, 2)  # overlapping classes and tied values grow deep trees
     config = ForestConfig(n_trees=25, min_leaf=2)
     batched = rf_fit(X, y, config, seed=4)
-    monkeypatch.setattr(forest, "_CHUNK_PAIRS", 1)
+    monkeypatch.setattr(trees, "_CHUNK_PAIRS", 1)
     one_tree_at_a_time = rf_fit(X, y, config, seed=4)
     _assert_same_table(one_tree_at_a_time, batched)
     probes = np.random.default_rng(11).uniform(size=(50, 2))

@@ -1,88 +1,77 @@
 import numpy as np
+import pytest
 
-from occkit.trees import grow, leaf_nodes, leaf_values
-
-
-def _halving_tree(X, visits):
-    """Split rows on feature 0 at their median until a node holds one row."""
-
-    def split(idx, depth, payload):
-        visits.append(tuple(idx.tolist()))
-        if idx.size <= 1:
-            return None
-        value = float(np.median(X[idx, 0]))
-        going_left = X[idx, 0] < value
-        if going_left.all() or not going_left.any():
-            return None
-        return 0, value, going_left
-
-    return grow(np.arange(X.shape[0]), split, lambda idx: {"rows": idx.tolist()})
+from occkit import trees
+from occkit.detectors import DetectorConfig, StochasticForestDetector, fit, score
+from occkit.forest import ForestConfig, rf_fit, rf_predict
 
 
-def test_grow_is_depth_first_left_before_right():
-    X = np.array([[3.0], [0.0], [2.0], [1.0]])
+def test_detector_grower_cuts_depth_first_left_before_right(monkeypatch):
+    X = np.array([[3.0], [0.0], [2.0], [1.0], [7.0], [4.0], [6.0], [5.0]])
     visits = []
-    tree = _halving_tree(X, visits)
-    assert visits == [(0, 1, 2, 3), (1, 3), (1,), (3,), (0, 2), (2,), (0,)]
-    assert tree["feature"] == 0 and tree["value"] == 1.5
-    assert tree["left"]["left"] == {"rows": [1]}
-    assert tree["right"]["right"] == {"rows": [0]}
+
+    def halve(X, idx, rng):
+        visits.append(tuple(sorted(X[idx, 0].tolist())))
+        value = float(np.median(X[idx, 0]))
+        return 0, value, X[idx, 0] < value
+
+    monkeypatch.setattr(StochasticForestDetector, "_cut", staticmethod(halve))
+    det = fit(DetectorConfig(variant="stochastic-forest", n_trees=1, subsample=8), X)
+    assert visits == [
+        (0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3), (0, 1), (2, 3), (4, 5, 6, 7), (4, 5), (6, 7)
+    ]
+    # Children are allocated in pairs as their parent is cut: root 0, then 1-2, 3-4, 5-6, ...
+    assert det.roots.tolist() == [0]
+    assert det.left.tolist() == [1, 3, 9, 5, 7, -1, -1, -1, -1, 11, 13, -1, -1, -1, -1]
+    assert det.value.tolist()[:5] == [3.5, 1.5, 5.5, 0.5, 2.5]
+    leaves = det.left < 0
+    assert det.path_length[leaves].tolist() == [3.0] * 8
+    assert det.path_length[~leaves].tolist() == [0.0] * 7
+    assert score(det, X).tolist() == [3.0] * 8
 
 
-def test_leaf_values_matches_row_by_row_descent():
-    rng = np.random.default_rng(4)
-    X = rng.uniform(size=(40, 3))
-    tree = _halving_tree(X, [])
-    probes = rng.uniform(size=(200, 3))
-
-    def descend(x):
-        node, depth = tree, 0
-        while "feature" in node:
-            node = node["left"] if x[node["feature"]] < node["value"] else node["right"]
-            depth += 1
-        return node["rows"][0] * 100 + depth
-
-    got = leaf_values(tree, probes, lambda leaf, depth: leaf["rows"][0] * 100 + depth)
-    assert got.dtype == np.float64
-    assert got.tolist() == [descend(x) for x in probes]
-    assert leaf_values(tree, probes[:0], lambda leaf, depth: 1.0).shape == (0,)
+def _descend_sums(feature, value, left, roots, payload, X):
+    """Row by row: payload at each tree's leaf, added in tree order."""
+    out = []
+    for x in X:
+        total = 0.0
+        for node in roots:
+            while left[node] >= 0:
+                node = left[node] if x[feature[node]] < value[node] else left[node] + 1
+            total += payload[node]
+        out.append(total)
+    return out
 
 
-def _flatten(trees):
-    """Flat (feature, value, left, right, roots) table of dict trees, level order."""
-    feature, value, left, right, roots = [], [], [], [], []
-    for tree in trees:
-        roots.append(len(feature))
-        queue = [tree]
-        while queue:
-            node = queue.pop(0)
-            if "feature" in node:
-                child = len(feature) + len(queue) + 1
-                feature.append(node["feature"])
-                value.append(node["value"])
-                left.append(child)
-                right.append(child + 1)
-                queue += [node["left"], node["right"]]
-            else:
-                feature.append(-1)
-                value.append(0.0)
-                left.append(-1)
-                right.append(-1)
-    return tuple(np.array(a) for a in (feature, value, left, right, roots))
+def _forest(kind):
+    """Node table plus payload, probes, the forest's public scorer, and sums -> its output."""
+    rng = np.random.default_rng(6)
+    if kind != "cart-nan":
+        det = fit(DetectorConfig(variant=kind, n_trees=7, subsample=32, seed=3), rng.normal(size=(60, 3)))
+        table = det.feature, det.value, det.left, det.roots, det.path_length
+        return table, rng.normal(size=(50, 3)), lambda X: score(det, X), lambda sums: sums / 7
+    X = rng.uniform(size=(120, 3))
+    y = (X[:, 0] + rng.normal(0, 0.2, size=120) > 0.5).astype(np.int64)
+    model = rf_fit(X, y, ForestConfig(n_trees=9, min_leaf=2), seed=1)
+    probes = rng.uniform(size=(50, 3))
+    probes[rng.uniform(size=probes.shape) < 0.2] = np.nan  # NaN goes right
+    attack = (model.counts[:, 1] >= model.counts[:, 0]).astype(np.float64)
+    table = model.feature, model.value, model.left, model.roots, attack
+    return table, probes, lambda X: rf_predict(model, X), lambda sums: (2 * sums >= 9).astype(np.int64)
 
 
-def test_leaf_nodes_matches_row_by_row_descent():
-    rng = np.random.default_rng(5)
-    trees = [_halving_tree(rng.uniform(size=(n, 2)), []) for n in (1, 7, 30)]
-    feature, value, left, right, roots = _flatten(trees)
-    probes = rng.uniform(size=(100, 2))
-
-    def descend(node, x):
-        while left[node] >= 0:
-            node = left[node] if x[feature[node]] < value[node] else right[node]
-        return node
-
-    got = leaf_nodes(feature, value, left, right, roots, probes)
-    assert got.shape == (3, 100)
-    assert got.tolist() == [[descend(root, x) for x in probes] for root in roots]
-    assert leaf_nodes(feature, value, left, right, roots, probes[:0]).shape == (3, 0)
+@pytest.mark.parametrize("kind", ["isolation-forest", "stochastic-forest", "cart-nan"])
+def test_leaf_sums_branches_agree_with_row_by_row_descent(kind, monkeypatch):
+    table, probes, scorer, finish = _forest(kind)
+    want = _descend_sums(*table, probes)
+    got = {}
+    # 50 rows: 3 trees per level-synchronous chunk (the last one partial), or
+    # the row-partition walk once the rows exceed the pair budget.
+    for branch, pairs in (("level", 150), ("partition", 49)):
+        monkeypatch.setattr(trees, "_CHUNK_PAIRS", pairs)
+        got[branch] = trees.leaf_sums(*table, probes)
+        assert got[branch].dtype == np.float64
+        assert got[branch].tolist() == want, branch
+        assert np.array_equal(scorer(probes), finish(np.array(want))), branch
+    assert np.array_equal(got["level"], got["partition"])
+    assert trees.leaf_sums(*table, probes[:0]).shape == (0,)
