@@ -21,13 +21,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
+from . import trees
 from .calibration import Threshold
-from .trees import leaf_sums
+from .seeding import rng_for
 
 __all__ = [
     "VARIANTS",
@@ -36,6 +36,7 @@ __all__ = [
     "fit",
     "score",
     "isolation_path_adjustment",
+    "forest_fit_oracle",
     "lof_brute_oracle",
     "save_detector",
     "load_detector",
@@ -53,7 +54,8 @@ LRD_SENTINEL = 1e12
 # Attempts to find a non-degenerate split-at-datum cut before giving up on a node.
 _SPLIT_RETRIES = 8
 
-# The arrays of a forest detector's node table (`occkit.trees`), as persisted.
+# The arrays of a forest detector's node table (`occkit.trees`), as persisted
+# and in the order `trees.grow` returns them.
 _TABLE = ("feature", "value", "left", "roots", "path_length")
 
 PERSIST_FORMAT_VERSION = 2
@@ -101,9 +103,10 @@ def isolation_path_adjustment(n: int) -> float:
     return 2.0 * harmonic - 2.0 * (n - 1) / n
 
 
-@lru_cache(maxsize=4096)
-def _leaf_adjustment(mass: int) -> float:
-    return isolation_path_adjustment(mass)
+def _path_adjustments(mass: np.ndarray) -> np.ndarray:
+    """isolation_path_adjustment of each mass, bit for bit, called once per distinct mass."""
+    distinct, at = np.unique(mass, return_inverse=True)
+    return np.array([isolation_path_adjustment(int(m)) for m in distinct], dtype=np.float64)[at]
 
 
 class FittedDetector:
@@ -171,11 +174,15 @@ def _check_matrix(X: np.ndarray) -> np.ndarray:
 class _ForestDetector(FittedDetector):
     """Shared growth, scoring and state for the two tree ensembles.
 
-    Each tree grows on a subsample drawn without replacement, at most
-    ceil(log2(subsample)) levels deep. A subclass supplies only
-    `_cut(X, idx, rng)`: a (feature, value, going_left) cut of rows idx into
-    two non-empty sides, or None. The forest is one node table
-    (`occkit.trees`) whose payload is each leaf's path length, depth + c(mass).
+    Tree t draws from its own stream rng_for(seed, variant, t): first its
+    subsample, the first `subsample` rows of a permutation, then per depth
+    _DRAWS uniform doubles for each open node, in level order. A node is open
+    while it holds two rows or more and lies above depth
+    ceil(log2(subsample)). A subclass supplies the cut of an open node from
+    its doubles twice: `_cuts` for all open nodes of a depth at once (what
+    `fit` grows with) and `_cut` for one node (what `forest_fit_oracle` grows
+    with). The forest is one node table (`occkit.trees`) whose payload is each
+    leaf's path length, depth + c(mass).
     """
 
     def __init__(self, config: DetectorConfig, feature_count: int, **table: np.ndarray) -> None:
@@ -187,32 +194,39 @@ class _ForestDetector(FittedDetector):
 
     @classmethod
     def fit(cls, config: DetectorConfig, X: np.ndarray) -> _ForestDetector:
-        """Grow each tree depth first, left before right, so `_cut` draws in that order."""
-        rng = np.random.default_rng(config.seed)
-        effective = min(config.subsample, X.shape[0])
-        limit = math.ceil(math.log2(effective)) if effective > 1 else 0
-        nodes, roots = [], []  # nodes[i] is node i's (feature, value, left, path length)
-        for _ in range(config.n_trees):
-            roots.append(len(nodes))
-            nodes.append(None)
-            stack = [(roots[-1], rng.permutation(X.shape[0])[:effective], 0)]
-            while stack:
-                node, idx, depth = stack.pop()
-                cut = None if idx.size <= 1 or depth >= limit else cls._cut(X, idx, rng)
-                if cut is None:
-                    nodes[node] = (-1, 0.0, -1, depth + _leaf_adjustment(idx.size))
-                    continue
-                feature, value, going_left = cut
-                child = len(nodes)
-                nodes[node] = (feature, value, child, 0.0)
-                nodes += (None, None)
-                stack.append((child + 1, idx[~going_left], depth + 1))
-                stack.append((child, idx[going_left], depth + 1))
-        table = dict(zip(("feature", "value", "left", "path_length"), zip(*nodes)), roots=roots)
-        return cls(config, X.shape[1], **table)
+        X = np.ascontiguousarray(X)
+        n, d = X.shape
+        effective, limit, rngs = _growth(config, n)
+        unit = np.ones(effective)
+
+        def rule(level: trees.Level) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            k = level.tree.size
+            mass = np.bincount(level.node, minlength=k)
+            feature = np.full(k, -1)
+            value = np.zeros(k)
+            nodes, elements, seg = level.open((mass > 1) & (level.depth < limit))
+            if nodes.size:
+                # A stable sort groups the rows by node, each node's in its subsample's order.
+                rows = level.rows[elements[np.argsort(seg, kind="stable")]]
+                sizes = mass[nodes]
+                cut_feature, cut_value, ok = cls._cuts(
+                    X, rows, np.cumsum(sizes) - sizes, sizes, level.draw(nodes, cls._DRAWS)
+                )
+                feature[nodes[ok]] = cut_feature[ok]
+                value[nodes[ok]] = cut_value[ok]
+            leaf = feature < 0
+            path_length = np.zeros(k)
+            path_length[leaf] = level.depth + _path_adjustments(mass[leaf])
+            return feature, value, path_length
+
+        def sample(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+            return rng.permutation(n)[:effective], unit
+
+        table = trees.grow(X, rngs, sample, rule, effective * d)
+        return cls(config, d, **dict(zip(_TABLE, table)))
 
     def score(self, X: np.ndarray) -> np.ndarray:
-        total = leaf_sums(self.feature, self.value, self.left, self.roots, self.path_length, X)
+        total = trees.leaf_sums(self.feature, self.value, self.left, self.roots, self.path_length, X)
         return total / self.roots.size
 
     def _state(self) -> dict:
@@ -220,40 +234,108 @@ class _ForestDetector(FittedDetector):
         return {"feature_count": self.feature_count, **table}
 
 
+def _growth(config: DetectorConfig, n: int) -> tuple[int, int, list[np.random.Generator]]:
+    """A forest detector's rows per tree, its depth limit and one stream per tree."""
+    effective = min(config.subsample, n)
+    limit = math.ceil(math.log2(effective)) if effective > 1 else 0
+    return effective, limit, [rng_for(config.seed, config.variant, t) for t in range(config.n_trees)]
+
+
+def forest_fit_oracle(config: DetectorConfig, X_normal: np.ndarray) -> FittedDetector:
+    """`fit`'s isolation or stochastic forest grown one tree and one node at a time.
+
+    The same streams, draws and node table as `fit`: each node of a depth, in
+    level order, draws its doubles and is cut by the variant's `_cut`. Serves
+    as the test-time oracle for the batched forest growth.
+    """
+    X = _check_matrix(X_normal)
+    cls = _VARIANT_CLASSES[config.variant]
+    if not issubclass(cls, _ForestDetector):
+        raise ValueError(f"{config.variant!r} is not a forest variant")
+    n, d = X.shape
+    effective, limit, rngs = _growth(config, n)
+
+    def cut(idx: np.ndarray, depth: int, rng: np.random.Generator) -> tuple:
+        split = None
+        if idx.size > 1 and depth < limit:
+            split = cls._cut(X, idx, rng.random(cls._DRAWS))
+        return split, (depth + isolation_path_adjustment(idx.size) if split is None else 0.0)
+
+    table = trees.grow_oracle(X, rngs, lambda rng: rng.permutation(n)[:effective], cut)
+    return cls(config, d, **dict(zip(_TABLE, table)))
+
+
 class IsolationForestDetector(_ForestDetector):
+    """A node cuts one of its spread features, drawn with the first double,
+    at a uniform value in [lo, hi) of that feature, set by the second."""
+
     variant = "isolation-forest"
+    _DRAWS = 2
 
     @staticmethod
-    def _cut(X: np.ndarray, idx: np.ndarray, rng: np.random.Generator):
+    def _cuts(X: np.ndarray, rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray, u: np.ndarray):
+        sub = X[rows]
+        lo = np.minimum.reduceat(sub, starts)
+        hi = np.maximum.reduceat(sub, starts)
+        spread = hi > lo
+        pick = (u[:, 0] * spread.sum(axis=1)).astype(np.intp)
+        # The pick-th spread feature is the first whose running count passes pick.
+        feature = np.argmax(np.cumsum(spread, axis=1) > pick[:, None], axis=1)
+        node = np.arange(starts.size)
+        lo, hi = lo[node, feature], hi[node, feature]
+        value = lo + (hi - lo) * u[:, 1]
+        # Some row lies below the cut iff lo < value, some at or above it iff
+        # value <= hi; a draw on the boundary, or a node with no spread
+        # feature (lo == hi), leaves one side empty.
+        return feature, value, (lo < value) & (value <= hi)
+
+    @staticmethod
+    def _cut(X: np.ndarray, idx: np.ndarray, u: np.ndarray):
         sub = X[idx]
         lo = sub.min(axis=0)
         hi = sub.max(axis=0)
         spread = np.flatnonzero(hi > lo)
         if spread.size == 0:
             return None
-        feature = int(spread[rng.integers(spread.size)])
-        value = float(rng.uniform(lo[feature], hi[feature]))
-        # Some row lies below the cut iff lo < value, some at or above it iff
-        # value <= hi; a draw on the boundary leaves one side empty.
+        feature = int(spread[int(u[0] * spread.size)])
+        value = float(lo[feature] + (hi[feature] - lo[feature]) * u[1])
         if not lo[feature] < value <= hi[feature]:
             return None
-        return feature, value, sub[:, feature] < value
+        return feature, value
 
 
 class StochasticForestDetector(_ForestDetector):
+    """A node tries up to _SPLIT_RETRIES (feature, datum) pairs, two doubles
+    each, and cuts at the first datum with some row of the node below it.
+
+    The cut sits exactly on a training coordinate: every decision depends only
+    on comparisons between data values, never on their magnitudes, which is
+    what makes rankings scale-free.
+    """
+
     variant = "stochastic-forest"
+    _DRAWS = 2 * _SPLIT_RETRIES
 
     @staticmethod
-    def _cut(X: np.ndarray, idx: np.ndarray, rng: np.random.Generator):
-        # The cut must sit exactly on a training coordinate: every decision
-        # below depends only on comparisons between data values, never on
-        # their magnitudes, which is what makes rankings scale-free.
-        for _ in range(_SPLIT_RETRIES):
-            feature = int(rng.integers(X.shape[1]))
-            value = float(X[idx[rng.integers(idx.size)], feature])
-            going_left = X[:, feature][idx] < value
-            if going_left.any():  # the chosen datum itself keeps the right side non-empty
-                return feature, value, going_left
+    def _cuts(X: np.ndarray, rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray, u: np.ndarray):
+        feature = (u[:, 0::2] * X.shape[1]).astype(np.intp)
+        datum = rows[starts[:, None] + (u[:, 1::2] * sizes[:, None]).astype(np.intp)]
+        value = X[datum, feature]
+        # The datum itself keeps the right side non-empty; the left side is
+        # non-empty iff the node's minimum on the feature lies below it.
+        node_feature = np.repeat(feature, sizes, axis=0)
+        ok = np.minimum.reduceat(X[rows[:, None], node_feature], starts) < value
+        first = np.argmax(ok, axis=1)
+        node = np.arange(starts.size)
+        return feature[node, first], value[node, first], ok.any(axis=1)
+
+    @staticmethod
+    def _cut(X: np.ndarray, idx: np.ndarray, u: np.ndarray):
+        for feature_u, datum_u in u.reshape(-1, 2):
+            feature = int(feature_u * X.shape[1])
+            value = float(X[idx[int(datum_u * idx.size)], feature])
+            if (X[idx, feature] < value).any():
+                return feature, value
         return None
 
 
@@ -495,8 +577,9 @@ def load_detector(path: str | Path) -> FittedDetector:
     state = payload["state"]
     variant = payload["variant"]
     if variant in ("isolation-forest", "stochastic-forest"):
-        cls = _VARIANT_CLASSES[variant]
-        det = cls(config, state["feature_count"], **{name: state[name] for name in _TABLE})
+        table = {name: np.asarray(state[name]) for name in _TABLE}
+        _check_table(table, state["feature_count"])
+        det = _VARIANT_CLASSES[variant](config, state["feature_count"], **table)
     elif variant == "lof":
         det = LofDetector(
             config,
@@ -513,6 +596,38 @@ def load_detector(path: str | Path) -> FittedDetector:
     else:
         raise ValueError(f"unknown variant in container: {variant!r}")
     return det
+
+
+def _check_table(table: dict[str, np.ndarray], feature_count: int) -> None:
+    """Raise ValueError unless every row descends from each root to a leaf of `table`.
+
+    Each left[i] is -1 or in (i, n - 2]: children come after their parent
+    (depth-first and level-order tables both hold that), so no descent loops,
+    and the right child left[i] + 1 is still a node.
+    """
+    n = table["feature"].size
+    for name in _TABLE:
+        array = table[name]
+        index = name in ("feature", "left", "roots")
+        if array.ndim != 1 or (array.size and array.dtype.kind not in ("i" if index else "if")):
+            raise ValueError(f"forest table: {name} is not a list of {'integers' if index else 'numbers'}")
+        if name != "roots" and array.size != n:
+            raise ValueError(f"forest table: {name} has {array.size} entries, feature has {n}")
+    feature, left, roots = table["feature"], table["left"], table["roots"]
+    bad = (left != -1) & ((left <= np.arange(n)) | (left > n - 2))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"forest table: left[{i}] = {left[i]} is neither -1 nor in ({i}, {n - 2}]")
+    bad = (left >= 0) & ((feature < 0) | (feature >= feature_count))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"forest table: feature[{i}] = {feature[i]} is not in [0, {feature_count})")
+    if roots.size == 0:
+        raise ValueError("forest table: roots is empty")
+    bad = (roots < 0) | (roots >= n)
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise ValueError(f"forest table: roots[{t}] = {roots[t]} is not a node of the {n}-node table")
 
 
 def load_saved_threshold(path: str | Path) -> Threshold | None:

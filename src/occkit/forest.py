@@ -2,15 +2,14 @@
 
 A plain CART ensemble (gini splits, bootstrap resampling, random feature
 subsets per node) built here so tree internals stay inspectable and
-deterministic. `rf_fit` grows the trees of a chunk together, level by level,
-into one flat node table per forest (`occkit.trees`); `rf_fit_oracle` grows
-the same table node by node and is its test oracle; `rf_predict` counts the
-trees' votes with `trees.leaf_sums`.
+deterministic. The forest is one flat node table (`occkit.trees`). `rf_fit`
+hands `trees.grow` the batched gini rule `_best_cuts`; `rf_fit_oracle` hands
+`trees.grow_oracle` the per-node rule `_best_split` and is its test oracle;
+`rf_predict` counts the trees' votes with `trees.leaf_sums`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -153,22 +152,6 @@ def _features(keys: np.ndarray, n_split: int) -> np.ndarray:
     return np.argsort(keys, axis=1, kind="stable")[:, :n_split]
 
 
-def _assemble(parts: list[tuple], config: ForestConfig, d: int) -> ForestModel:
-    """One ForestModel from (feature, value, left, counts, roots) tables numbered from 0."""
-    offsets = list(itertools.accumulate([part[0].size for part in parts], initial=0))
-    return ForestModel(
-        feature=np.concatenate([part[0] for part in parts]),
-        value=np.concatenate([part[1] for part in parts]),
-        left=np.concatenate(
-            [np.where(part[2] >= 0, part[2] + offset, -1) for part, offset in zip(parts, offsets)]
-        ),
-        counts=np.concatenate([part[3] for part in parts]),
-        roots=np.concatenate([part[4] + offset for part, offset in zip(parts, offsets)]),
-        config=config,
-        feature_count=d,
-    )
-
-
 def rf_fit(
     X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), seed: int | None = None
 ) -> ForestModel:
@@ -192,90 +175,40 @@ def rf_fit(
     ranks = np.empty(d * n, dtype=np.int64)
     for f in range(d):
         ranks[f * n + np.argsort(X[:, f], kind="stable")] = np.arange(n)
-    per_chunk = max(1, trees._CHUNK_PAIRS // n)
-    parts = [
-        _grow_chunk(X, y, ranks, seed, range(t, min(t + per_chunk, config.n_trees)), n_split, config)
-        for t in range(0, config.n_trees, per_chunk)
-    ]
-    return _assemble(parts, config, d)
 
+    def bag(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        rows = np.flatnonzero(drawn)
+        return rows, drawn[rows]
 
-def _grow_chunk(
-    X: np.ndarray,
-    y: np.ndarray,
-    ranks: np.ndarray,
-    seed: int,
-    chunk: range,
-    n_split: int,
-    config: ForestConfig,
-) -> tuple:
-    """Node table of the trees in `chunk`, grown together one depth at a time.
-
-    Each bagged row of each tree is one element, weighted by how often the bag
-    drew it; `owner` is the element's node among the current depth's nodes,
-    which are ordered by tree and then level order.
-    """
-    n, d = X.shape
-    flat_X = X.ravel()
-    rngs = [rng_for(seed, "tree", t) for t in chunk]
-    rows, weight = [], []
-    for rng in rngs:
-        bag = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        rows.append(np.flatnonzero(bag))
-        weight.append(bag[rows[-1]])
-    owner = np.repeat(np.arange(len(rngs)), [drawn.size for drawn in rows])
-    rows = np.concatenate(rows)
-    # Counts are held as float64, exact for whole numbers, so gini needs no casts.
-    weight = np.concatenate(weight).astype(np.float64)
-    attack = weight * y[rows]
-    node_tree = np.arange(len(rngs))
-    levels = []
-    first_id = 0
-    depth = 0
-    while node_tree.size:
-        k = node_tree.size
-        total = np.bincount(owner, weights=weight, minlength=k)
-        ones = np.bincount(owner, weights=attack, minlength=k)
-        feature = np.full(k, -1, dtype=np.int32)
+    def rule(level: trees.Level) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Counts are held as float64, exact for whole numbers, so gini needs no casts.
+        attack = level.weight * y[level.rows]
+        k = level.tree.size
+        total = np.bincount(level.node, weights=level.weight, minlength=k)
+        ones = np.bincount(level.node, weights=attack, minlength=k)
+        feature = np.full(k, -1)
         value = np.zeros(k)
-        left = np.full(k, -1, dtype=np.int32)
-        counts = np.column_stack([total - ones, ones]).astype(np.int32)
-        levels.append((node_tree, feature, value, left, counts))
-        can_split = _splittable(total, ones, depth, config)
-        opened = np.flatnonzero(can_split)
-        if opened.size == 0:
-            break
-        keep = can_split[owner]
-        rows, weight, attack = rows[keep], weight[keep], attack[keep]
-        seg = (np.cumsum(can_split) - 1)[owner[keep]]
-        per_tree = np.bincount(node_tree[opened], minlength=len(rngs))
-        keys = np.concatenate([rngs[t].random((m, d)) for t, m in enumerate(per_tree) if m])
-        best, cut_feature, cut_value = _best_cuts(
-            X, ranks, rows, weight, attack, seg, _features(keys, n_split),
-            total[opened], ones[opened], config.min_leaf,
-        )
-        split = best < np.inf
-        parents = opened[split]
-        feature[parents] = cut_feature[split]
-        value[parents] = cut_value[split]
-        left[parents] = first_id + k + 2 * np.arange(parents.size)
-        keep = split[seg]
-        rows, weight, attack, seg = rows[keep], weight[keep], attack[keep], seg[keep]
-        # Not `>=`: a NaN goes right, as in _best_split's partition and the walker.
-        going_right = ~(flat_X[rows * d + cut_feature[seg]] < cut_value[seg])
-        owner = 2 * (np.cumsum(split) - 1)[seg] + going_right
-        node_tree = np.repeat(node_tree[parents], 2)
-        first_id += k
-        depth += 1
-    # Renumber tree by tree; a stable sort keeps each tree's level order.
-    node_tree, feature, value, left, counts = (np.concatenate(c) for c in zip(*levels))
-    order = np.argsort(node_tree, kind="stable")
-    new_id = np.empty_like(order)
-    new_id[order] = np.arange(order.size)
-    left = left[order]
-    left[left >= 0] = new_id[left[left >= 0]]
-    roots = np.searchsorted(node_tree[order], np.arange(len(rngs))).astype(np.int32)
-    return feature[order], value[order], left, counts[order], roots
+        nodes, elements, seg = level.open(_splittable(total, ones, level.depth, config))
+        if nodes.size:
+            best, cut_feature, cut_value = _best_cuts(
+                X, ranks, level.rows[elements], level.weight[elements], attack[elements], seg,
+                _features(level.draw(nodes, d), n_split), total[nodes], ones[nodes],
+                config.min_leaf,
+            )
+            split = best < np.inf
+            feature[nodes[split]] = cut_feature[split]
+            value[nodes[split]] = cut_value[split]
+        return feature, value, np.column_stack([total - ones, ones]).astype(np.int32)
+
+    rngs = [rng_for(seed, "tree", t) for t in range(config.n_trees)]
+    return _model(trees.grow(X, rngs, bag, rule, n), config, d)
+
+
+def _model(table: tuple[np.ndarray, ...], config: ForestConfig, d: int) -> ForestModel:
+    """The ForestModel of a (feature, value, left, roots, counts) table from occkit.trees."""
+    feature, value, left, roots, counts = table
+    return ForestModel(feature, value, left, counts, roots, config, d)
 
 
 def _best_cuts(
@@ -369,50 +302,17 @@ def rf_fit_oracle(
     """
     X, y, n_split, seed = _training_inputs(X, y, config, seed)
     n, d = X.shape
-    parts = []
-    for t in range(config.n_trees):
-        rng = rng_for(seed, "tree", t)
-        feature, value, left, counts = [], [], [], []
-        level = [rng.integers(0, n, size=n)]
-        depth = 0
-        while level:
-            total = np.array([idx.size for idx in level])
-            ones = np.array([int(y[idx].sum()) for idx in level])
-            counts += zip(total - ones, ones)
-            can_split = _splittable(total, ones, depth, config)
-            if not can_split.any():
-                feature += [-1] * len(level)
-                value += [0.0] * len(level)
-                left += [-1] * len(level)
-                break
-            tries = iter(_features(rng.random((int(can_split.sum()), d)), n_split))
-            first_child = len(feature) + len(level)
-            children = []
-            for idx, can in zip(level, can_split):
-                cut = _best_split(X, y, idx, next(tries), config.min_leaf) if can else None
-                if cut is None:
-                    feature.append(-1)
-                    value.append(0.0)
-                    left.append(-1)
-                    continue
-                f, v = cut
-                feature.append(f)
-                value.append(v)
-                left.append(first_child + len(children))
-                going_left = X[:, f][idx] < v
-                children += [idx[going_left], idx[~going_left]]
-            level = children
-            depth += 1
-        parts.append(
-            (
-                np.array(feature, dtype=np.int32),
-                np.array(value, dtype=np.float64),
-                np.array(left, dtype=np.int32),
-                np.array(counts, dtype=np.int32),
-                np.zeros(1, dtype=np.int32),
-            )
-        )
-    return _assemble(parts, config, d)
+
+    def cut(idx: np.ndarray, depth: int, rng: np.random.Generator) -> tuple:
+        total, ones = idx.size, int(y[idx].sum())
+        counts = (total - ones, ones)
+        if not _splittable(np.array(total), np.array(ones), depth, config):
+            return None, counts
+        features = _features(rng.random((1, d)), n_split)[0]
+        return _best_split(X, y, idx, features, config.min_leaf), counts
+
+    rngs = [rng_for(seed, "tree", t) for t in range(config.n_trees)]
+    return _model(trees.grow_oracle(X, rngs, lambda rng: rng.integers(0, n, size=n), cut), config, d)
 
 
 def rf_predict(model: ForestModel, X: np.ndarray) -> np.ndarray:

@@ -1,25 +1,198 @@
-"""The flat node table every forest in occkit is stored as, and its one walker.
+"""The flat node table every forest in occkit is stored as: one grower, one walker.
 
 A forest is parallel arrays over its nodes, one root per tree: node i sends
 rows with X[:, feature[i]] < value[i] to node left[i] and the others (a NaN
-included) to node left[i] + 1; a leaf has left[i] == -1. Each forest attaches a
-per-node payload that only its leaves use (a CART tree's vote, a detector
-tree's path length), and `leaf_sums` adds up the payload of the leaf each row
-reaches in every tree.
+included) to node left[i] + 1; a leaf has feature[i] == left[i] == -1. Each
+forest attaches a per-node payload that only its leaves use (a CART tree's
+class counts, a detector tree's path length).
+
+`grow` builds the table of every forest: the trees of a chunk grow together,
+one depth per step, and a forest supplies only its batched split rule, which
+picks one cut per open node of a depth. `grow_oracle` builds the same table
+one tree and one node at a time and is its test oracle. `leaf_sums` adds up
+the payload of the leaf each row reaches in every tree.
 """
 
 from __future__ import annotations
 
+import itertools
+from typing import Callable, NamedTuple, Sequence
+
 import numpy as np
 
-__all__ = ["leaf_sums"]
+__all__ = ["Level", "grow", "grow_oracle", "leaf_sums"]
 
 # Most (tree, row) pairs a forest is grown or walked with at once, level by
-# level: `forest.rf_fit` grows trees in chunks of max(1, _CHUNK_PAIRS // rows),
+# level: `grow` takes trees in chunks of max(1, _CHUNK_PAIRS // pairs_per_tree),
 # and `leaf_sums` walks them that way up to _CHUNK_PAIRS rows. At 1 << 14 a
 # 100-tree CART fit on 1,300 rows peaks near 2.5 MB of heap; each doubling
 # about doubles that, for up to ~20% less fit time.
 _CHUNK_PAIRS = 1 << 14
+
+
+class Level(NamedTuple):
+    """The nodes of one depth of a chunk of trees, as a split rule sees them.
+
+    Nodes are ordered by tree, then in level order. Each element is a row of
+    its tree's sample; elements keep the order the samples gave them.
+    """
+
+    depth: int
+    tree: np.ndarray  # tree of each node, numbered within the chunk
+    rows: np.ndarray  # row of X of each element
+    weight: np.ndarray  # how often its tree's sample drew each element
+    node: np.ndarray  # node of each element
+    rngs: Sequence[np.random.Generator]  # one stream per tree of the chunk
+
+    def open(self, can_split: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(nodes, elements, seg) of the nodes a rule may cut.
+
+        `nodes` are the indices where can_split holds, `elements` the
+        positions of their elements, and seg[i] the index in `nodes` of
+        element elements[i]'s node.
+        """
+        nodes = np.flatnonzero(can_split)
+        elements = np.flatnonzero(can_split[self.node])
+        return nodes, elements, (np.cumsum(can_split) - 1)[self.node[elements]]
+
+    def draw(self, nodes: np.ndarray, width: int) -> np.ndarray:
+        """One row of `width` uniform doubles per node of `nodes` (ascending, not empty).
+
+        Rows come in level order; a tree's rows are one `random` call on its
+        stream, which gives the same doubles as one call per node in order.
+        """
+        per_tree = np.bincount(self.tree[nodes], minlength=len(self.rngs))
+        return np.concatenate([rng.random((m, width)) for rng, m in zip(self.rngs, per_tree.tolist()) if m])
+
+
+# A split rule takes a Level and returns, per node, the feature to cut (-1 for
+# a leaf), the threshold, and the node's payload.
+SplitRule = Callable[[Level], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def grow(
+    X: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    sample: Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]],
+    rule: SplitRule,
+    pairs_per_tree: int,
+) -> tuple[np.ndarray, ...]:
+    """(feature, value, left, roots, payload) of one tree per stream in rngs.
+
+    Tree t draws from rngs[t] only: first sample(rng), its rows and how often
+    each was drawn, then whatever the rule draws per depth through
+    Level.draw. Trees grow in chunks of max(1, _CHUNK_PAIRS // pairs_per_tree),
+    each chunk one depth per step; the table does not depend on the chunking.
+    Each tree's nodes are stored together, in level order, left child before
+    right.
+    """
+    per_chunk = max(1, _CHUNK_PAIRS // pairs_per_tree)
+    parts = [
+        _grow_together(X, rngs[t : t + per_chunk], sample, rule)
+        for t in range(0, len(rngs), per_chunk)
+    ]
+    offsets = list(itertools.accumulate([part[0].size for part in parts], initial=0))
+    feature, value, left, roots, payload = zip(*parts)
+    return (
+        np.concatenate(feature),
+        np.concatenate(value),
+        np.concatenate([np.where(lf >= 0, lf + o, -1) for lf, o in zip(left, offsets)]).astype(np.int32),
+        np.concatenate([r + o for r, o in zip(roots, offsets)]).astype(np.int32),
+        np.concatenate(payload),
+    )
+
+
+def _grow_together(
+    X: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    sample: Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]],
+    rule: SplitRule,
+) -> tuple[np.ndarray, ...]:
+    """grow's table for the trees of rngs, grown together one depth per step, numbered from 0."""
+    d = X.shape[1]
+    flat_X = X.ravel()
+    rows, weight = zip(*(sample(rng) for rng in rngs))
+    node = np.repeat(np.arange(len(rngs)), [drawn.size for drawn in rows])
+    rows = np.concatenate(rows)
+    weight = np.concatenate(weight).astype(np.float64)
+    tree = np.arange(len(rngs))
+    levels = []
+    first_id = 0
+    depth = 0
+    while tree.size:
+        k = tree.size
+        feature, value, payload = rule(Level(depth, tree, rows, weight, node, rngs))
+        feature = np.asarray(feature, dtype=np.int32)
+        split = feature >= 0
+        parents = np.flatnonzero(split)
+        left = np.full(k, -1, dtype=np.int32)
+        left[parents] = first_id + k + 2 * np.arange(parents.size)
+        levels.append((tree, feature, value, left, payload))
+        if parents.size == 0:
+            break
+        keep = split[node]
+        rows, weight, node = rows[keep], weight[keep], node[keep]
+        # Not `>=`: a NaN goes right, as in the walker.
+        going_right = ~(flat_X[rows * d + feature[node]] < value[node])
+        node = 2 * (np.cumsum(split) - 1)[node] + going_right
+        tree = np.repeat(tree[parents], 2)
+        first_id += k
+        depth += 1
+    # Renumber tree by tree; a stable sort keeps each tree's level order.
+    tree, feature, value, left, payload = (np.concatenate(c) for c in zip(*levels))
+    order = np.argsort(tree, kind="stable")
+    new_id = np.empty_like(order)
+    new_id[order] = np.arange(order.size)
+    left = left[order]
+    left[left >= 0] = new_id[left[left >= 0]]
+    roots = np.searchsorted(tree[order], np.arange(len(rngs))).astype(np.int32)
+    return feature[order], value[order], left, roots, payload[order]
+
+
+def grow_oracle(
+    X: np.ndarray,
+    rngs: Sequence[np.random.Generator],
+    sample: Callable[[np.random.Generator], np.ndarray],
+    cut: Callable[[np.ndarray, int, np.random.Generator], tuple],
+) -> tuple[np.ndarray, ...]:
+    """grow's table built one tree at a time and one node at a time, in level order.
+
+    Tree t's rows are sample(rngs[t]), kept as drawn (repeats and all); each
+    node's rows keep that order. cut(idx, depth, rng) returns the node's
+    (feature, value) cut, or None for a leaf, and its payload, drawing from
+    the tree's stream as it goes. The test oracle for grow.
+    """
+    feature, value, left, roots, payload = [], [], [], [], []
+    for rng in rngs:
+        roots.append(len(feature))
+        level = [sample(rng)]
+        depth = 0
+        while level:
+            first_child = len(feature) + len(level)
+            children = []
+            for idx in level:
+                split, node_payload = cut(idx, depth, rng)
+                payload.append(node_payload)
+                if split is None:
+                    feature.append(-1)
+                    value.append(0.0)
+                    left.append(-1)
+                    continue
+                f, v = split
+                feature.append(f)
+                value.append(v)
+                left.append(first_child + len(children))
+                going_left = X[idx, f] < v
+                children += [idx[going_left], idx[~going_left]]
+            level = children
+            depth += 1
+    return (
+        np.array(feature, dtype=np.int32),
+        np.array(value, dtype=np.float64),
+        np.array(left, dtype=np.int32),
+        np.array(roots, dtype=np.int32),
+        np.array(payload),
+    )
 
 
 def leaf_sums(

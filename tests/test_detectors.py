@@ -1,14 +1,21 @@
+import contextlib
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from occkit import trees
 from occkit.detectors import (
     PERSIST_FORMAT_VERSION,
     DetectorConfig,
     VARIANTS,
+    _path_adjustments,
     fit,
+    forest_fit_oracle,
     isolation_path_adjustment,
     load_detector,
     lof_brute_oracle,
@@ -57,6 +64,14 @@ def test_adjustment_monotone():
 def test_adjustment_rejects_negative():
     with pytest.raises(ValueError):
         isolation_path_adjustment(-1)
+
+
+def test_path_adjustments_equal_the_scalar_for_every_mass():
+    masses = np.arange(4097)
+    want = [isolation_path_adjustment(int(m)) for m in masses]
+    assert _path_adjustments(masses).tolist() == want
+    shuffled = np.random.default_rng(0).permutation(np.repeat(masses, 2))
+    assert _path_adjustments(shuffled).tolist() == [want[m] for m in shuffled]
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +315,58 @@ def test_forest_trees_respect_height_limit():
                     assert det.path_length[node] == depth + isolation_path_adjustment(mass[node])
 
 
+_FORESTS = ("isolation-forest", "stochastic-forest")
+_TABLE = ("feature", "value", "left", "roots", "path_length")
+
+
+def _assert_same_table(got, want):
+    for name in _TABLE:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@st.composite
+def _detector_cases(draw):
+    n = draw(st.integers(1, 300))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Few decimals on a small range give tied values and duplicate rows; a
+    # zeroed column is constant.
+    X = np.round(rng.uniform(0, draw(st.sampled_from([1.0, 3.0])), size=(n, d)), draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = 0.0
+    config = DetectorConfig(
+        variant=draw(st.sampled_from(_FORESTS)),
+        n_trees=draw(st.integers(1, 12)),
+        subsample=draw(st.integers(2, 64)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return config, X
+
+
+@settings(max_examples=80, deadline=None)
+@given(_detector_cases())
+def test_forest_fit_table_equals_node_by_node_oracle(case):
+    config, X = case
+    _assert_same_table(fit(config, X), forest_fit_oracle(config, X))
+
+
+@pytest.mark.parametrize("variant", _FORESTS)
+def test_forest_fit_table_does_not_depend_on_chunking(variant, monkeypatch):
+    X = np.round(np.random.default_rng(8).uniform(size=(150, 3)), 1)
+    config = DetectorConfig(variant=variant, n_trees=25, subsample=64, seed=2)
+    batched = fit(config, X)
+    assert batched.roots.size == 25
+    monkeypatch.setattr(trees, "_CHUNK_PAIRS", 1)
+    one_tree_at_a_time = fit(config, X)
+    _assert_same_table(one_tree_at_a_time, batched)
+    assert np.array_equal(score(batched, X), score(one_tree_at_a_time, X))
+
+
+def test_forest_fit_oracle_rejects_other_variants():
+    with pytest.raises(ValueError, match="forest"):
+        forest_fit_oracle(_config("lof"), _cluster(23))
+
+
 def _tree_nodes(det, root):
     """(node, depth) of every node of the tree at `root`."""
     stack = [(root, 0)]
@@ -399,3 +466,102 @@ def test_load_rejects_version_1_dict_trees(tmp_path):
     path.write_text(json.dumps(container))
     with pytest.raises(ValueError, match=r"version: 1$"):
         load_detector(path)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError, instead of hanging, if the block runs past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _damage(state, case):
+    """Break one part of a saved forest table; return the message load_detector must give."""
+    left, n = state["left"], len(state["left"])
+    inner = [i for i in range(n) if left[i] >= 0]
+    if case == "cycle":
+        # The root's left child pointing back at the root: descent would loop forever.
+        i = left[0]
+        left[i] = 0
+        return rf"left\[{i}\] = 0 is neither -1 nor in"
+    if case == "child-past-the-table":
+        left[inner[-1]] = n - 1
+        return rf"left\[{inner[-1]}\] = {n - 1} is neither -1 nor in"
+    if case == "child-is-itself":
+        left[inner[0]] = inner[0]
+        return rf"left\[{inner[0]}\] = {inner[0]} is neither -1 nor in"
+    if case == "negative-child":
+        left[inner[0]] = -2
+        return rf"left\[{inner[0]}\] = -2 is neither -1 nor in"
+    if case == "unequal-lengths":
+        state["path_length"].pop()
+        return rf"path_length has {n - 1} entries, feature has {n}"
+    if case == "feature-out-of-range":
+        state["feature"][inner[0]] = state["feature_count"]
+        return rf"feature\[{inner[0]}\] = 2 is not in \[0, 2\)"
+    if case == "root-past-the-table":
+        state["roots"][1] = n
+        return rf"roots\[1\] = {n} is not a node of the {n}-node table"
+    if case == "no-roots":
+        state["roots"] = []
+        return "roots is empty"
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "cycle",
+        "child-past-the-table",
+        "child-is-itself",
+        "negative-child",
+        "unequal-lengths",
+        "feature-out-of-range",
+        "root-past-the-table",
+        "no-roots",
+    ],
+)
+def test_load_rejects_a_damaged_forest_table(case, tmp_path):
+    X = _cluster(24)
+    path = tmp_path / "model.json"
+    save_detector(fit(_config("stochastic-forest", n_trees=3), X), path)
+    payload = json.loads(path.read_text())
+    message = _damage(payload["state"], case)
+    path.write_text(json.dumps(payload))
+    # Without the check, the cycle case loops forever in score.
+    with _deadline(10), pytest.raises(ValueError, match=message):
+        score(load_detector(path), X)
+
+
+def test_load_accepts_a_depth_first_table(tmp_path):
+    # The layout depth-first growth wrote, children allocated in pairs as their
+    # parent was cut; each leaf's payload is the one row that reaches it.
+    left = [1, 3, 9, 5, 7, -1, -1, -1, -1, 11, 13, -1, -1, -1, -1]
+    value = [3.5, 1.5, 5.5, 0.5, 2.5, 0, 0, 0, 0, 4.5, 6.5, 0, 0, 0, 0]
+    path_length = [0, 0, 0, 0, 0, 0, 1, 2, 3, 0, 0, 4, 5, 6, 7]
+    container = {
+        "format_version": PERSIST_FORMAT_VERSION,
+        "variant": "stochastic-forest",
+        "config": {"variant": "stochastic-forest", "n_trees": 1, "subsample": 8},
+        "state": {
+            "feature_count": 1,
+            "feature": [0 if child >= 0 else -1 for child in left],
+            "value": value,
+            "left": left,
+            "roots": [0],
+            "path_length": path_length,
+        },
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(container))
+    X = np.array([[3.0], [0.0], [2.0], [1.0], [7.0], [4.0], [6.0], [5.0]])
+    assert score(load_detector(path), X).tolist() == X[:, 0].tolist()

@@ -34,14 +34,14 @@ def _only(out: Path, pattern: str) -> Path:
         (
             "occ-eval",
             "demo-occ-eval.json",
-            "2f25f6ac83135f5c9a02b7b1f3904271ae42481524e5b38365518cda38ea217a",
-            "6a3a39d4714f6e9411fd37ed90fa7e2f43b21ca3a67021efa564451ccdf7687f",
+            "359196e33119cdfcf672a846932ec47dc694df7ccb0bcafa1910bf249ffe244e",
+            "8ddee064c7d43a5336b18419d2fb61937a47b35b6c9996569d1705ba495165ad",
         ),
         (
             "omission",
             "demo-omission.json",
-            "9d5c96857bfd44acc469c7510456ff49be218f6859318ba1be9ef28655cd6ee0",
-            "19d3ad2e0fc20ddab26b92d95ede462dd8774409a2efdcde114dbad6c8bbc07a",
+            "70be3cb2bf91f8c3b1f459a09b3ecac7f57921393f86285fb55e1a363189f73d",
+            "c165f6d391ba09ea7bda19db42337bfa85381bbfba43f4410b96722b7252120b",
         ),
     ],
 )
@@ -56,4 +56,4 @@ def test_shipped_config_outputs_are_pinned(tmp_path, command, config, per_run, r
 def test_demo_points_are_pinned(tmp_path):
     assert main(["demo", "--seed", "7", "--out", str(tmp_path)]) == 0
     points = _only(tmp_path, "demo/*/demo_points.csv")
-    assert _sha256(points) == "459b69a200cf239873720160246fce23b1f7fdd59eacd7b7c6d824d055b11c44"
+    assert _sha256(points) == "0072a6cdd7854b37bdad20e9b3f8d18acd07ddb913cf9babdb3d69634b5b98cd"

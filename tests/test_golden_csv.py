@@ -96,8 +96,8 @@ def test_apply_preprocessor_output_is_pinned(tmp_path):
 @pytest.mark.parametrize(
     "preprocessor_fit, per_run",
     [
-        ("full", "5460ea1920101870737dbb95efd2373aa0152a1df3d8306d8a5ab34129ae6563"),
-        ("train", "b342d774f27db508c1026a40d4ef166ddb522baab254b828bffc3e93da474483"),
+        ("full", "8d132b6d7d3ee1c20e7ed8f6cef4aa72af2ffa418dff1f916c1bd58250bd50df"),
+        ("train", "7987fb967950a2b6f64a4041fa2543a02f198e8dc1a29d1ec440c83dea26263a"),
     ],
 )
 def test_csv_occ_eval_per_run_is_pinned(tmp_path, preprocessor_fit, per_run):

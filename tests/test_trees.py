@@ -2,28 +2,33 @@ import numpy as np
 import pytest
 
 from occkit import trees
-from occkit.detectors import DetectorConfig, StochasticForestDetector, fit, score
+from occkit.detectors import (
+    DetectorConfig,
+    StochasticForestDetector,
+    fit,
+    forest_fit_oracle,
+    score,
+)
 from occkit.forest import ForestConfig, rf_fit, rf_predict
 
 
-def test_detector_grower_cuts_depth_first_left_before_right(monkeypatch):
+def test_oracle_grower_cuts_level_by_level_left_before_right(monkeypatch):
     X = np.array([[3.0], [0.0], [2.0], [1.0], [7.0], [4.0], [6.0], [5.0]])
     visits = []
 
-    def halve(X, idx, rng):
+    def halve(X, idx, u):
         visits.append(tuple(sorted(X[idx, 0].tolist())))
-        value = float(np.median(X[idx, 0]))
-        return 0, value, X[idx, 0] < value
+        return 0, float(np.median(X[idx, 0]))
 
     monkeypatch.setattr(StochasticForestDetector, "_cut", staticmethod(halve))
-    det = fit(DetectorConfig(variant="stochastic-forest", n_trees=1, subsample=8), X)
+    det = forest_fit_oracle(DetectorConfig(variant="stochastic-forest", n_trees=1, subsample=8), X)
     assert visits == [
-        (0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3), (0, 1), (2, 3), (4, 5, 6, 7), (4, 5), (6, 7)
+        (0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3), (4, 5, 6, 7), (0, 1), (2, 3), (4, 5), (6, 7)
     ]
-    # Children are allocated in pairs as their parent is cut: root 0, then 1-2, 3-4, 5-6, ...
+    # Each depth's children follow it in pairs, left before right: root 0, then 1-2, 3-6, 7-14.
     assert det.roots.tolist() == [0]
-    assert det.left.tolist() == [1, 3, 9, 5, 7, -1, -1, -1, -1, 11, 13, -1, -1, -1, -1]
-    assert det.value.tolist()[:5] == [3.5, 1.5, 5.5, 0.5, 2.5]
+    assert det.left.tolist() == [1, 3, 5, 7, 9, 11, 13] + [-1] * 8
+    assert det.value.tolist()[:7] == [3.5, 1.5, 5.5, 0.5, 2.5, 4.5, 6.5]
     leaves = det.left < 0
     assert det.path_length[leaves].tolist() == [3.0] * 8
     assert det.path_length[~leaves].tolist() == [0.0] * 7
