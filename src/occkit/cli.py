@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -34,6 +35,9 @@ import numpy as np
 from . import __version__
 from .calibration import calibrate_threshold, classify
 from .dataset import (
+    DEMO_N_ATTACK,
+    DEMO_N_NORMAL,
+    DEMO_SIGMA,
     Dataset,
     SplitPlan,
     apply_preprocessor,
@@ -47,7 +51,7 @@ from .dataset import (
     stratified_indices,
     stratified_split,
 )
-from .detectors import DetectorConfig, fit as fit_detector, score as score_detector
+from .detectors import VARIANTS, DetectorConfig, fit as fit_detector, score as score_detector
 from .ensemble import PredictionMatrix, consensus
 from .metrics import confusion, mean_std, metric_row
 from .seeding import derive_seed
@@ -99,15 +103,12 @@ OMISSION_CSV_COLUMNS = (
 
 _ARM_ORDER = {"plain": 0, "noise": 1, "occ": 2}
 
-DEFAULT_DETECTORS = {
-    "isolation-forest": {"variant": "isolation-forest"},
-    "stochastic-forest": {"variant": "stochastic-forest"},
-    "lof": {"variant": "lof"},
-    "linear-recon": {"variant": "linear-recon"},
-}
+DEFAULT_DETECTORS = {variant: {"variant": variant} for variant in VARIANTS}
 
-_DETECTOR_KEYS = {"variant", "n_trees", "subsample", "k_neighbors", "n_components"}
-_RF_KEYS = {"n_trees", "max_depth", "min_leaf", "features_per_split"}
+# A config sets every field of these but the seed, which is derived per run.
+_DETECTOR_KEYS = {f.name for f in dataclasses.fields(DetectorConfig)} - {"seed"}
+_RF_KEYS = {f.name for f in dataclasses.fields(ForestConfig)} - {"seed"}
+_TOP_KEYS = ("seed", "dataset", "split", "preprocessor_fit", "detectors", "ensemble", "omission")
 
 
 class ConfigError(Exception):
@@ -129,9 +130,6 @@ class Report:
     created_utc: str
     n_runs: int
     blocks: dict
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -160,6 +158,12 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _require_known(block: dict, known: Iterable[str], where: str, note: str = "") -> None:
+    """Reject a key of `block` that is not in `known`; a misspelled one would be ignored."""
+    unknown = set(block) - set(known)
+    _require(not unknown, f"{where} has unknown keys {sorted(unknown)}{note}")
+
+
 def load_config(path: str | Path | None, *, experiment: str, seed_override: int | None) -> ExperimentConfig:
     """Load, validate and resolve a config file for the given experiment kind."""
     raw: dict = {}
@@ -172,30 +176,31 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         _require(isinstance(raw, dict), "config must be a JSON object")
+    _require_known(raw, _TOP_KEYS, "config")
 
     seed = seed_override if seed_override is not None else raw.get("seed")
     _require(seed is not None, "a seed is required (config 'seed' or --seed); no wall-clock default")
     _require(isinstance(seed, int), f"seed must be an integer, got {seed!r}")
 
-    dataset = raw.get("dataset", {"demo": {}})
-    _require(isinstance(dataset, dict), "'dataset' must be an object")
-    if "demo" in dataset:
-        demo = dict(dataset["demo"])
-        unknown = set(demo) - {"seed", "n_normal", "n_attack", "sigma"}
-        _require(not unknown, f"dataset.demo has unknown keys {sorted(unknown)}")
+    dataset_raw = raw.get("dataset", {"demo": {}})
+    _require(isinstance(dataset_raw, dict), "'dataset' must be an object")
+    if "demo" in dataset_raw:
+        demo_raw = dict(dataset_raw["demo"])
         demo = {
-            "seed": int(demo.get("seed", seed)),
-            "n_normal": int(demo.get("n_normal", 600)),
-            "n_attack": int(demo.get("n_attack", 200)),
-            "sigma": float(demo.get("sigma", 0.03)),
+            "seed": int(demo_raw.get("seed", seed)),
+            "n_normal": int(demo_raw.get("n_normal", DEMO_N_NORMAL)),
+            "n_attack": int(demo_raw.get("n_attack", DEMO_N_ATTACK)),
+            "sigma": float(demo_raw.get("sigma", DEMO_SIGMA)),
         }
+        _require_known(demo_raw, demo, "dataset.demo")
         dataset = {"demo": demo}
     else:
         _require(
-            "csv" in dataset and "schema" in dataset,
+            "csv" in dataset_raw and "schema" in dataset_raw,
             "'dataset' needs either a 'demo' block or 'csv' + 'schema' paths",
         )
-        dataset = {"csv": str(dataset["csv"]), "schema": str(dataset["schema"])}
+        dataset = {"csv": str(dataset_raw["csv"]), "schema": str(dataset_raw["schema"])}
+    _require_known(dataset_raw, dataset, "dataset")
 
     split_raw = raw.get("split", {})
     _require(isinstance(split_raw, dict), "'split' must be an object")
@@ -207,6 +212,7 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
         )
     except ValueError as exc:
         raise ConfigError(f"bad split plan: {exc}") from exc
+    _require_known(split_raw, dataclasses.asdict(split), "split")
 
     preprocessor_fit = raw.get("preprocessor_fit", "full")
     _require(
@@ -224,9 +230,8 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
     resolved_detectors: dict[str, dict] = {}
     for name, entry in detectors_raw.items():
         _require(isinstance(entry, dict), f"detector {name!r} must be an object")
-        unknown = set(entry) - _DETECTOR_KEYS
-        _require(not unknown, f"detector {name!r} has unknown keys {sorted(unknown)} "
-                              f"(seeds are derived from the global seed)")
+        _require_known(entry, _DETECTOR_KEYS, f"detector {name!r}",
+                       " (seeds are derived from the global seed)")
         _require("variant" in entry, f"detector {name!r} needs a 'variant'")
         try:
             cfg = DetectorConfig(**entry)
@@ -234,11 +239,7 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
             raise ConfigError(f"detector {name!r}: {exc}") from exc
         detectors[name] = cfg
         resolved_detectors[name] = {
-            "variant": cfg.variant,
-            "n_trees": cfg.n_trees,
-            "subsample": cfg.subsample,
-            "k_neighbors": cfg.k_neighbors,
-            "n_components": cfg.n_components,
+            key: value for key, value in dataclasses.asdict(cfg).items() if key in _DETECTOR_KEYS
         }
 
     ensemble_raw = raw.get("ensemble", {})
@@ -246,9 +247,13 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
     members = tuple(ensemble_raw.get("members", list(detectors)))
     for member in members:
         _require(member in detectors, f"ensemble member {member!r} is not a configured detector")
+    _require(len(set(members)) == len(members), f"ensemble.members repeats a detector: {list(members)}")
     levels = tuple(int(k) for k in ensemble_raw.get("levels", range(1, len(members) + 1)))
     for k in levels:
         _require(1 <= k <= len(members), f"ensemble level {k} out of range 1..{len(members)}")
+    _require(len(set(levels)) == len(levels), f"ensemble.levels repeats a level: {list(levels)}")
+    ensemble = {"members": list(members), "levels": list(levels)}
+    _require_known(ensemble_raw, ensemble, "ensemble")
 
     omission_raw = raw.get("omission", {})
     _require(isinstance(omission_raw, dict), "'omission' must be an object")
@@ -260,8 +265,8 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
         "attack_types": omission_raw.get("attack_types"),
         "rf": dict(omission_raw.get("rf", {})),
     }
-    unknown_rf = set(omission["rf"]) - _RF_KEYS
-    _require(not unknown_rf, f"omission.rf has unknown keys {sorted(unknown_rf)}")
+    _require_known(omission_raw, omission, "omission")
+    _require_known(omission["rf"], _RF_KEYS, "omission.rf")
     if omission["occ_detector"] is not None:
         _require(
             omission["occ_detector"] in detectors,
@@ -272,10 +277,10 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
         "experiment": experiment,
         "seed": seed,
         "dataset": dataset,
-        "split": {"ratio": split.ratio, "n_runs": split.n_runs, "base_seed": split.base_seed},
+        "split": dataclasses.asdict(split),
         "preprocessor_fit": preprocessor_fit,
         "detectors": resolved_detectors,
-        "ensemble": {"members": list(members), "levels": list(levels)},
+        "ensemble": ensemble,
     }
     if experiment == "omission":
         resolved["omission"] = omission
@@ -305,13 +310,7 @@ class _DataSource:
         self._dataset: Dataset | None = None
         entry = config.dataset
         if "demo" in entry:
-            demo = entry["demo"]
-            self._dataset = generate_gaussian_demo(
-                seed=demo["seed"],
-                n_normal=demo["n_normal"],
-                n_attack=demo["n_attack"],
-                sigma=demo["sigma"],
-            )
+            self._dataset = generate_gaussian_demo(**entry["demo"])
             return
         schema = load_schema(entry["schema"])
         table = load_csv(entry["csv"], schema)
@@ -457,7 +456,7 @@ def _finalize(config: ExperimentConfig, run_dir: Path, blocks: dict) -> Report:
         json.dump(config.resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(run_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return report
 
@@ -468,6 +467,8 @@ def cmd_occ_eval(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> R
     A failing run aborts the experiment with a diagnostic naming the run;
     rows from already-completed runs are preserved in per_run.partial.csv.
     """
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
     source = _DataSource(config)
     runs = range(config.split.n_runs)
     run_dir = _run_dir(config, out_dir)
@@ -673,15 +674,7 @@ def cmd_report(run_dir: Path) -> Report:
     else:
         raise ValueError(f"report.json has unknown experiment kind {experiment!r}")
     _compare_blocks(stored["blocks"], recomputed)
-    return Report(
-        experiment=experiment,
-        seed=stored["seed"],
-        config_hash=stored["config_hash"],
-        artifact_version=stored["artifact_version"],
-        created_utc=stored["created_utc"],
-        n_runs=stored["n_runs"],
-        blocks=recomputed,
-    )
+    return Report(**{f.name: stored[f.name] for f in dataclasses.fields(Report)} | {"blocks": recomputed})
 
 
 # ---------------------------------------------------------------------------

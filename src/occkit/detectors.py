@@ -43,8 +43,6 @@ __all__ = [
     "load_saved_threshold",
 ]
 
-VARIANTS = ("isolation-forest", "stochastic-forest", "lof", "linear-recon")
-
 EULER_MASCHERONI = 0.5772156649
 
 # Stand-in for an infinite local reachability density when a point has k or
@@ -53,10 +51,6 @@ LRD_SENTINEL = 1e12
 
 # Attempts to find a non-degenerate split-at-datum cut before giving up on a node.
 _SPLIT_RETRIES = 8
-
-# The arrays of a forest detector's node table (`occkit.trees`), as persisted
-# and in the order `trees.grow` returns them.
-_TABLE = ("feature", "value", "left", "roots", "path_length")
 
 PERSIST_FORMAT_VERSION = 2
 
@@ -110,19 +104,40 @@ def _path_adjustments(mass: np.ndarray) -> np.ndarray:
 
 
 class FittedDetector:
-    """Immutable trained model exposing a normality-score function."""
+    """Immutable trained model exposing a normality-score function.
+
+    A variant's fitted arrays are named once, in `_STATE`, each with its
+    shape: one letter per axis, where "d" is the feature count and every
+    other letter takes one length across the variant's arrays. The
+    constructor, `save_detector` and `load_detector` all read that tuple.
+    """
 
     variant: str = ""
+    _STATE: tuple[tuple[str, str], ...] = ()
 
-    def __init__(self, config: DetectorConfig, feature_count: int) -> None:
+    def __init__(self, config: DetectorConfig, feature_count: int, **state: np.ndarray) -> None:
         self.config = config
         self.feature_count = feature_count
+        for name, _ in self._STATE:
+            setattr(self, name, np.asarray(state[name]))
 
     def score(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _state(self) -> dict:
-        raise NotImplementedError
+    @classmethod
+    def _check_state(cls, state: dict[str, np.ndarray], feature_count: int) -> None:
+        """Raise ValueError unless each array has its `_STATE` shape."""
+        length = {"d": (feature_count, f"feature_count is {feature_count}")}
+        for name, axes in cls._STATE:
+            array = state[name]
+            if array.ndim != len(axes) or (array.size and array.dtype.kind not in "if"):
+                raise ValueError(f"{cls.variant} state: {name} is not a {len(axes)}-D array of numbers")
+            for axis, letter in enumerate(axes):
+                unit = "entries" if array.ndim == 1 else ("rows", "columns")[axis]
+                found = f"{name} has {array.shape[axis]} {unit}"
+                want, source = length.setdefault(letter, (array.shape[axis], found))
+                if array.shape[axis] != want:
+                    raise ValueError(f"{cls.variant} state: {found}, {source}")
 
 
 def fit(config: DetectorConfig, X_normal: np.ndarray) -> FittedDetector:
@@ -185,12 +200,8 @@ class _ForestDetector(FittedDetector):
     leaf's path length, depth + c(mass).
     """
 
-    def __init__(self, config: DetectorConfig, feature_count: int, **table: np.ndarray) -> None:
-        """`table` holds the arrays named in _TABLE; path_length is the leaf payload."""
-        super().__init__(config, feature_count)
-        self.feature, self.value, self.left, self.roots, self.path_length = (
-            np.asarray(table[name]) for name in _TABLE
-        )
+    # The node table, in the order `trees.grow` returns it.
+    _STATE = (("feature", "n"), ("value", "n"), ("left", "n"), ("roots", "t"), ("path_length", "n"))
 
     @classmethod
     def fit(cls, config: DetectorConfig, X: np.ndarray) -> _ForestDetector:
@@ -223,15 +234,16 @@ class _ForestDetector(FittedDetector):
             return rng.permutation(n)[:effective], unit
 
         table = trees.grow(X, rngs, sample, rule, effective * d)
-        return cls(config, d, **dict(zip(_TABLE, table)))
+        return cls(config, d, **{name: array for (name, _), array in zip(cls._STATE, table)})
 
     def score(self, X: np.ndarray) -> np.ndarray:
         total = trees.leaf_sums(self.feature, self.value, self.left, self.roots, self.path_length, X)
         return total / self.roots.size
 
-    def _state(self) -> dict:
-        table = {name: getattr(self, name).tolist() for name in _TABLE}
-        return {"feature_count": self.feature_count, **table}
+    @classmethod
+    def _check_state(cls, state: dict[str, np.ndarray], feature_count: int) -> None:
+        super()._check_state(state, feature_count)
+        _check_table(state, feature_count)
 
 
 def _growth(config: DetectorConfig, n: int) -> tuple[int, int, list[np.random.Generator]]:
@@ -262,7 +274,7 @@ def forest_fit_oracle(config: DetectorConfig, X_normal: np.ndarray) -> FittedDet
         return split, (depth + isolation_path_adjustment(idx.size) if split is None else 0.0)
 
     table = trees.grow_oracle(X, rngs, lambda rng: rng.permutation(n)[:effective], cut)
-    return cls(config, d, **dict(zip(_TABLE, table)))
+    return cls(config, d, **{name: array for (name, _), array in zip(cls._STATE, table)})
 
 
 class IsolationForestDetector(_ForestDetector):
@@ -357,18 +369,7 @@ def _lrd_from_reach(mean_reach: float) -> float:
 
 class LofDetector(FittedDetector):
     variant = "lof"
-
-    def __init__(
-        self,
-        config: DetectorConfig,
-        X_train: np.ndarray,
-        kdist: np.ndarray,
-        lrd: np.ndarray,
-    ) -> None:
-        super().__init__(config, X_train.shape[1])
-        self.X_train = X_train
-        self.kdist = kdist
-        self.lrd = lrd
+    _STATE = (("X_train", "md"), ("kdist", "m"), ("lrd", "m"))
 
     @classmethod
     def fit(cls, config: DetectorConfig, X: np.ndarray) -> LofDetector:
@@ -391,7 +392,7 @@ class LofDetector(FittedDetector):
                 nb = np.flatnonzero(row <= kdist[i])
                 reach = np.maximum(kdist[nb], row[nb])
                 lrd[i] = _lrd_from_reach(float(np.mean(reach)))
-        return cls(config, X.copy(), kdist, lrd)
+        return cls(config, X.shape[1], X_train=X.copy(), kdist=kdist, lrd=lrd)
 
     def score(self, X: np.ndarray) -> np.ndarray:
         k = self.config.k_neighbors
@@ -405,14 +406,6 @@ class LofDetector(FittedDetector):
                 lrd_probe = _lrd_from_reach(float(np.mean(reach)))
                 out[start + r] = -float(np.mean(self.lrd[nb])) / lrd_probe
         return out
-
-    def _state(self) -> dict:
-        return {
-            "feature_count": self.feature_count,
-            "X_train": self.X_train.tolist(),
-            "kdist": self.kdist.tolist(),
-            "lrd": self.lrd.tolist(),
-        }
 
 
 def lof_brute_oracle(X_train: np.ndarray, X_probe: np.ndarray, k: int) -> np.ndarray:
@@ -462,11 +455,8 @@ def lof_brute_oracle(X_train: np.ndarray, X_probe: np.ndarray, k: int) -> np.nda
 
 class LinearReconDetector(FittedDetector):
     variant = "linear-recon"
-
-    def __init__(self, config: DetectorConfig, mean: np.ndarray, basis: np.ndarray) -> None:
-        super().__init__(config, mean.shape[0])
-        self.mean = mean
-        self.basis = basis  # orthonormal rows spanning the retained subspace
+    # basis holds orthonormal rows spanning the retained subspace.
+    _STATE = (("mean", "d"), ("basis", "rd"))
 
     @classmethod
     def fit(cls, config: DetectorConfig, X: np.ndarray) -> LinearReconDetector:
@@ -484,7 +474,7 @@ class LinearReconDetector(FittedDetector):
             basis[comp] = cls._leading_direction(deflated, basis[:comp], rng, d)
             lam = float(basis[comp] @ deflated @ basis[comp])
             deflated = deflated - lam * np.outer(basis[comp], basis[comp])
-        return cls(config, mean, basis)
+        return cls(config, d, mean=mean, basis=basis)
 
     @staticmethod
     def _leading_direction(
@@ -529,20 +519,12 @@ class LinearReconDetector(FittedDetector):
         recon = (centered @ self.basis.T) @ self.basis
         return -np.sum((centered - recon) ** 2, axis=1)
 
-    def _state(self) -> dict:
-        return {
-            "feature_count": self.feature_count,
-            "mean": self.mean.tolist(),
-            "basis": self.basis.tolist(),
-        }
-
 
 _VARIANT_CLASSES = {
-    "isolation-forest": IsolationForestDetector,
-    "stochastic-forest": StochasticForestDetector,
-    "lof": LofDetector,
-    "linear-recon": LinearReconDetector,
+    cls.variant: cls
+    for cls in (IsolationForestDetector, StochasticForestDetector, LofDetector, LinearReconDetector)
 }
+VARIANTS = tuple(_VARIANT_CLASSES)
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +539,13 @@ def save_detector(
         "format_version": PERSIST_FORMAT_VERSION,
         "variant": det.variant,
         "config": asdict(det.config),
-        "state": det._state(),
+        "state": {
+            "feature_count": det.feature_count,
+            **{name: getattr(det, name).tolist() for name, _ in det._STATE},
+        },
     }
     if threshold is not None:
-        payload["threshold"] = {"mu": threshold.mu, "sigma": threshold.sigma, "th": threshold.th}
+        payload["threshold"] = asdict(threshold)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
         fh.write("\n")
@@ -574,45 +559,36 @@ def load_detector(path: str | Path) -> FittedDetector:
     if version != PERSIST_FORMAT_VERSION:
         raise ValueError(f"unsupported detector container version: {version!r}")
     config = DetectorConfig(**payload["config"])
-    state = payload["state"]
     variant = payload["variant"]
-    if variant in ("isolation-forest", "stochastic-forest"):
-        table = {name: np.asarray(state[name]) for name in _TABLE}
-        _check_table(table, state["feature_count"])
-        det = _VARIANT_CLASSES[variant](config, state["feature_count"], **table)
-    elif variant == "lof":
-        det = LofDetector(
-            config,
-            np.array(state["X_train"], dtype=np.float64),
-            np.array(state["kdist"], dtype=np.float64),
-            np.array(state["lrd"], dtype=np.float64),
-        )
-    elif variant == "linear-recon":
-        det = LinearReconDetector(
-            config,
-            np.array(state["mean"], dtype=np.float64),
-            np.array(state["basis"], dtype=np.float64),
-        )
-    else:
-        raise ValueError(f"unknown variant in container: {variant!r}")
-    return det
+    if variant != config.variant:
+        raise ValueError(f"container variant {variant!r} differs from its config's {config.variant!r}")
+    cls = _VARIANT_CLASSES[variant]
+    saved = payload["state"]
+    feature_count = saved.get("feature_count")
+    if not isinstance(feature_count, int) or feature_count < 1:
+        raise ValueError(f"{variant} state: feature_count {feature_count!r} is not a positive integer")
+    state = {}
+    for name, _ in cls._STATE:
+        try:
+            state[name] = np.asarray(saved[name])
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{variant} state: {name} is missing or ragged") from exc
+    cls._check_state(state, feature_count)
+    return cls(config, feature_count, **state)
 
 
 def _check_table(table: dict[str, np.ndarray], feature_count: int) -> None:
     """Raise ValueError unless every row descends from each root to a leaf of `table`.
 
-    Each left[i] is -1 or in (i, n - 2]: children come after their parent
-    (depth-first and level-order tables both hold that), so no descent loops,
-    and the right child left[i] + 1 is still a node.
+    The arrays already have their `_STATE` shapes. Each left[i] is -1 or in
+    (i, n - 2]: children come after their parent (depth-first and level-order
+    tables both hold that), so no descent loops, and the right child
+    left[i] + 1 is still a node.
     """
     n = table["feature"].size
-    for name in _TABLE:
-        array = table[name]
-        index = name in ("feature", "left", "roots")
-        if array.ndim != 1 or (array.size and array.dtype.kind not in ("i" if index else "if")):
-            raise ValueError(f"forest table: {name} is not a list of {'integers' if index else 'numbers'}")
-        if name != "roots" and array.size != n:
-            raise ValueError(f"forest table: {name} has {array.size} entries, feature has {n}")
+    for name in ("feature", "left", "roots"):
+        if table[name].size and table[name].dtype.kind != "i":
+            raise ValueError(f"forest table: {name} is not a list of integers")
     feature, left, roots = table["feature"], table["left"], table["roots"]
     bad = (left != -1) & ((left <= np.arange(n)) | (left > n - 2))
     if bad.any():
@@ -635,6 +611,4 @@ def load_saved_threshold(path: str | Path) -> Threshold | None:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     block = payload.get("threshold")
-    if block is None:
-        return None
-    return Threshold(mu=block["mu"], sigma=block["sigma"], th=block["th"])
+    return None if block is None else Threshold(**block)

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +73,54 @@ def test_config_rejects_bad_level(tmp_path):
     path = _occ_config(tmp_path, ensemble={"levels": [9]})
     with pytest.raises(ConfigError, match="level"):
         load_config(path, experiment="occ-eval", seed_override=None)
+
+
+def test_config_rejects_duplicate_ensemble_member(tmp_path):
+    # A repeated member would count one detector's vote twice.
+    path = _occ_config(tmp_path, ensemble={"members": ["lof", "lof"]})
+    with pytest.raises(ConfigError, match="ensemble.members repeats a detector"):
+        load_config(path, experiment="occ-eval", seed_override=None)
+
+
+def test_config_rejects_duplicate_ensemble_level(tmp_path):
+    # A repeated level would write two ensemble-1 rows per run.
+    path = _occ_config(tmp_path, ensemble={"levels": [1, 1]})
+    with pytest.raises(ConfigError, match="ensemble.levels repeats a level"):
+        load_config(path, experiment="occ-eval", seed_override=None)
+
+
+@pytest.mark.parametrize(
+    "overrides, where, key",
+    [
+        ({"sede": 7}, "config", "sede"),
+        ({"dataset": {"demo": {}, "csv": "flows.csv"}}, "dataset", "csv"),
+        ({"dataset": {"demo": {"n_normals": 50}}}, "dataset.demo", "n_normals"),
+        ({"split": {"ratoi": 0.5}}, "split", "ratoi"),
+        ({"detectors": {"lof": {"variant": "lof", "k": 5}}}, "detector 'lof'", "k"),
+        ({"ensemble": {"level": [1]}}, "ensemble", "level"),
+        ({"omission": {"k_value": [1]}}, "omission", "k_value"),
+        ({"omission": {"rf": {"depth": 3}}}, "omission.rf", "depth"),
+    ],
+    ids=["top-level", "dataset", "dataset.demo", "split", "detector", "ensemble", "omission", "omission.rf"],
+)
+def test_main_rejects_an_unknown_key_in_every_block(overrides, where, key, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["occ-eval", "--config", str(_occ_config(tmp_path, **overrides)), "--out", str(out)]) == 2
+    assert f"{where} has unknown keys ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_configuration_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("## Configuration", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    # Strip the // comments, then the comma they leave after the "demo" block.
+    example = re.sub(r",(\s*\})", r"\1", re.sub(r"//[^\n]*", "", example))
+    path = tmp_path / "readme.json"
+    path.write_text(example)
+    cfg = load_config(path, experiment="omission", seed_override=None)
+    assert list(cfg.detectors) == ["stochastic-forest", "lof"]
+    assert cfg.ensemble_members == ("stochastic-forest", "lof")
+    assert cfg.omission["rf"] == {"n_trees": 100, "max_depth": None, "min_leaf": 1}
 
 
 def test_config_defaults_fill_detectors(tmp_path):

@@ -44,6 +44,17 @@ def test_omission_rejects_more_than_one_worker(tmp_path, capsys):
     assert main(argv + ["--workers", "1"]) == 0
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_occ_eval_rejects_workers_below_one(workers, tmp_path, capsys):
+    config = tmp_path / "occ.json"
+    config.write_text(json.dumps({"seed": 3, "split": {"n_runs": 1}}))
+    out = tmp_path / "out"
+    argv = ["occ-eval", "--config", str(config), "--out", str(out), "--workers", str(workers)]
+    assert main(argv) == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_rejects_out_alias(tmp_path):
     assert _argparse_exit_code(["report", "--out", str(tmp_path)]) == 2
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import math
 import signal
@@ -408,6 +409,38 @@ def test_linear_recon_basis_is_orthonormal():
 # persistence
 
 
+def test_variants_are_listed_in_their_registration_order():
+    # The order of the default detectors, and so of a default config's rows.
+    assert VARIANTS == ("isolation-forest", "stochastic-forest", "lof", "linear-recon")
+
+
+# sha256 of save_detector's output for _pinned_detector(variant).
+_SAVED_SHA256 = {
+    "isolation-forest": "08643424394376d0f3ed44f8445a1edc745f4fd9dbb1f333809063dd6c44ce81",
+    "stochastic-forest": "41149111d27b758a5cd8a2f7897e0bb9fa100fcd96ed69d355f430d62bfb6834",
+    "lof": "c14e0c19e2b228bf4d6d746e5ecce72d1f273c7922b987a5322aff0b6237bfa5",
+    "linear-recon": "1d7df9fe1949c7bb1346a63f033d7cbb00ab9a1384c5cf50f287175c68bb1f87",
+}
+
+
+def _pinned_detector(variant):
+    X = np.random.default_rng(3).normal(size=(40, 3))
+    return fit(DetectorConfig(variant=variant, n_trees=4, subsample=16, k_neighbors=5, seed=11), X)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_saved_container_bytes_are_pinned(variant, tmp_path):
+    path = tmp_path / "model.json"
+    save_detector(_pinned_detector(variant), path)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _SAVED_SHA256[variant]
+    state = json.loads(data)["state"]
+    assert list(state)[0] == "feature_count"
+    # Loading and saving again writes the same bytes.
+    save_detector(load_detector(path), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == data
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_save_load_roundtrip(variant, tmp_path):
     X = _cluster(19)
@@ -484,8 +517,45 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _damage(state, case):
-    """Break one part of a saved forest table; return the message load_detector must give."""
+def _damage(payload, case):
+    """Break one part of a saved container; return the message load_detector must give."""
+    state = payload["state"]
+    if case == "variant-mismatch":
+        payload["variant"] = "isolation-forest"
+        return "container variant 'isolation-forest' differs from its config's 'stochastic-forest'"
+    if case == "no-feature-count":
+        del state["feature_count"]
+        return "stochastic-forest state: feature_count None is not a positive integer"
+    if case == "missing-array":
+        del state["value"]
+        return "stochastic-forest state: value is missing or ragged"
+    if case == "lof-rows-unlike-kdist":
+        # 20 rows is still more than k_neighbors, so nothing else would notice.
+        del state["X_train"][20:]
+        return "lof state: kdist has 60 entries, X_train has 20 rows"
+    if case == "lof-short-kdist":
+        state["kdist"].pop()
+        return "lof state: kdist has 59 entries, X_train has 60 rows"
+    if case == "lof-short-lrd":
+        state["lrd"].pop()
+        return "lof state: lrd has 59 entries, X_train has 60 rows"
+    if case == "lof-wide-rows":
+        for row in state["X_train"]:
+            row.append(0.5)
+        return "lof state: X_train has 3 columns, feature_count is 2"
+    if case == "linear-recon-wide-basis":
+        for row in state["basis"]:
+            row.append(0.0)
+        return "linear-recon state: basis has 3 columns, feature_count is 2"
+    if case == "linear-recon-wide-mean":
+        state["mean"].append(0.5)
+        return "linear-recon state: mean has 3 entries, feature_count is 2"
+    if case == "linear-recon-ragged-basis":
+        state["basis"][0].pop()
+        return "linear-recon state: basis is missing or ragged"
+    if case == "linear-recon-flat-basis":
+        state["basis"] = state["basis"][0]
+        return "linear-recon state: basis is not a 2-D array of numbers"
     left, n = state["left"], len(state["left"])
     inner = [i for i in range(n) if left[i] >= 0]
     if case == "cycle":
@@ -528,14 +598,26 @@ def _damage(state, case):
         "feature-out-of-range",
         "root-past-the-table",
         "no-roots",
+        "variant-mismatch",
+        "no-feature-count",
+        "missing-array",
+        "lof-rows-unlike-kdist",
+        "lof-short-kdist",
+        "lof-short-lrd",
+        "lof-wide-rows",
+        "linear-recon-wide-basis",
+        "linear-recon-wide-mean",
+        "linear-recon-ragged-basis",
+        "linear-recon-flat-basis",
     ],
 )
 def test_load_rejects_a_damaged_forest_table(case, tmp_path):
     X = _cluster(24)
+    variant = next((v for v in ("lof", "linear-recon") if case.startswith(v + "-")), "stochastic-forest")
     path = tmp_path / "model.json"
-    save_detector(fit(_config("stochastic-forest", n_trees=3), X), path)
+    save_detector(fit(_config(variant, n_trees=3), X), path)
     payload = json.loads(path.read_text())
-    message = _damage(payload["state"], case)
+    message = _damage(payload, case)
     path.write_text(json.dumps(payload))
     # Without the check, the cycle case loops forever in score.
     with _deadline(10), pytest.raises(ValueError, match=message):
