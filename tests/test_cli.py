@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from occkit.cli import (
     ConfigError,
     ConsistencyError,
+    _finalize,
     cmd_demo,
     cmd_occ_eval,
     cmd_omission,
@@ -110,17 +112,78 @@ def test_main_rejects_an_unknown_key_in_every_block(overrides, where, key, tmp_p
     assert not out.exists()
 
 
-def test_readme_configuration_example_loads(tmp_path):
+def _readme_example(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     example = readme.split("## Configuration", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
     # Strip the // comments, then the comma they leave after the "demo" block.
     example = re.sub(r",(\s*\})", r"\1", re.sub(r"//[^\n]*", "", example))
     path = tmp_path / "readme.json"
     path.write_text(example)
-    cfg = load_config(path, experiment="omission", seed_override=None)
+    return path
+
+
+def test_readme_configuration_example_loads(tmp_path):
+    cfg = load_config(_readme_example(tmp_path), experiment="omission", seed_override=None)
     assert list(cfg.detectors) == ["stochastic-forest", "lof"]
     assert cfg.ensemble_members == ("stochastic-forest", "lof")
     assert cfg.omission["rf"] == {"n_trees": 100, "max_depth": None, "min_leaf": 1}
+
+
+# config.json sha256 and config_hash of configs the golden tests do not run.
+RESOLVED_PINS = {
+    ("readme", "occ-eval"): (
+        "8779b76b26cd71103706f7255c3427d410ac4f38f76cb739a68391ccfd7d1e04",
+        "0680bcb1cfef",
+    ),
+    ("readme", "omission"): (
+        "b98093f6ac257fda729401fb876ae8738fb1fd58a3fe44db3cb59bd1bbf52f34",
+        "321cdd7cdb8b",
+    ),
+    ("readme", "demo"): (
+        "8c779ef84788de4c3f3e5f6d33d0f2f121b826f6f98802c3b9594bd2d00cfc94",
+        "77d50f6f7bb1",
+    ),
+    ("seed-only", "occ-eval"): (
+        "5bc95ef1feb407d719428342b5e02dd3d338fa6c68a4bfea129eda8b76bc1073",
+        "a15570dfc2e3",
+    ),
+    ("seed-only", "omission"): (
+        "eb2a6d2633e8605cff32641861c347899315bb91561ceb67510e75033249cab8",
+        "88423cac4404",
+    ),
+    ("seed-only", "demo"): (
+        "1bfffe57aa563c912d59eccce79675e6fe87bdf1d477e4ce552b3bc2ad830f36",
+        "812026318ac5",
+    ),
+    ("int-sigma", "occ-eval"): (
+        "b5b98525f4b40c679ca1238b9658785091d7d7915810a9b6412d6b5411928156",
+        "bba952ea82ab",
+    ),
+    ("int-sigma", "omission"): (
+        "a660dbecd07f147d50af5b23873c0dcf361100462f50badd89e02d78afa3d082",
+        "0a01588b4ccc",
+    ),
+    ("int-sigma", "demo"): (
+        "40f18a45cb7daa9d72d52085874b6f72b6b3ce7aba51ede232dd41c70a1f35ee",
+        "0f1dfae8c01e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, experiment", sorted(RESOLVED_PINS))
+def test_resolved_config_is_pinned(name, experiment, tmp_path):
+    if name == "readme":
+        path = _readme_example(tmp_path)
+    else:
+        raw = {"seed": 1}
+        if name == "int-sigma":
+            raw["dataset"] = {"demo": {"n_normal": 50, "n_attack": 10, "sigma": 1}}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+    config = load_config(path, experiment=experiment, seed_override=None)
+    _finalize(config, tmp_path, {})  # writes config.json exactly as a run does
+    digest = hashlib.sha256((tmp_path / "config.json").read_bytes()).hexdigest()
+    assert (digest, config.config_hash) == RESOLVED_PINS[name, experiment]
 
 
 def test_config_defaults_fill_detectors(tmp_path):
