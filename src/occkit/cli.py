@@ -24,9 +24,9 @@ import dataclasses
 import hashlib
 import json
 import sys
-from collections.abc import Iterable
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -105,10 +105,7 @@ _ARM_ORDER = {"plain": 0, "noise": 1, "occ": 2}
 
 DEFAULT_DETECTORS = {variant: {"variant": variant} for variant in VARIANTS}
 
-# A config sets every field of these but the seed, which is derived per run.
-_DETECTOR_KEYS = {f.name for f in dataclasses.fields(DetectorConfig)} - {"seed"}
-_RF_KEYS = {f.name for f in dataclasses.fields(ForestConfig)} - {"seed"}
-_TOP_KEYS = ("seed", "dataset", "split", "preprocessor_fit", "detectors", "ensemble", "omission")
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string", dict: "object"}
 
 
 class ConfigError(Exception):
@@ -158,15 +155,56 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _require_known(block: dict, known: Iterable[str], where: str, note: str = "") -> None:
-    """Reject a key of `block` that is not in `known`; a misspelled one would be ignored."""
-    unknown = set(block) - set(known)
-    _require(not unknown, f"{where} has unknown keys {sorted(unknown)}{note}")
+def _fits(value: object, kind: object) -> bool:
+    """Whether a JSON value has `kind`: a type, or [t] for a list of t. A bool is no number."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(item, kind[0]) for item in value)
+    number = (int, float) if kind is float else kind
+    return isinstance(value, number) and isinstance(value, bool) == (kind is bool)
+
+
+def _block(raw: object, where: str, spec: dict[str, tuple[object, object]]) -> dict:
+    """Read one config object: `spec` maps each key to (type, default); returns every key.
+
+    A type is bool, int, float, str, dict or [t], a JSON list of t. A bool is
+    no int, a float key stores an int as a float, null is accepted only where
+    the default is None, and a key whose default is MISSING is required.
+    """
+    _require(isinstance(raw, dict), f"{where} must be a JSON object")
+    unknown = sorted(set(raw) - set(spec))
+    note = " (seeds are derived from the global seed)" if "seed" in unknown else ""
+    _require(not unknown, f"{where} has unknown keys {unknown}{note}")
+    block = {}
+    for key, (kind, default) in spec.items():
+        _require(key in raw or default is not MISSING, f"{where} needs a {key!r}")
+        value = raw.get(key, default)
+        if key in raw and not (value is None and default is None):
+            name = f"list of {_JSON_TYPES[kind[0]]}s" if isinstance(kind, list) else _JSON_TYPES[kind]
+            name += " or null" if default is None else ""
+            _require(_fits(value, kind), f"{where}.{key} must be a JSON {name}, got {json.dumps(value)}")
+            value = float(value) if kind is float else value
+        block[key] = value
+    return block
+
+
+def _settings(cls: type, raw: object, where: str, **defaults: object) -> tuple[typing.Any, dict]:
+    """Read a block whose keys are `cls`'s fields but the derived seed, and build `cls` from it."""
+    hints = typing.get_type_hints(cls)
+    spec = {}
+    for field in dataclasses.fields(cls):
+        if field.name != "seed":  # `int | None` reads as int: its None default already allows null
+            kind = (typing.get_args(hints[field.name]) or (hints[field.name],))[0]
+            spec[field.name] = (kind, defaults.get(field.name, field.default))
+    block = _block(raw, where, spec)
+    try:
+        return cls(**block), block
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path: str | Path | None, *, experiment: str, seed_override: int | None) -> ExperimentConfig:
     """Load, validate and resolve a config file for the given experiment kind."""
-    raw: dict = {}
+    raw: object = {}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -175,46 +213,26 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        _require(isinstance(raw, dict), "config must be a JSON object")
-    _require_known(raw, _TOP_KEYS, "config")
-
-    seed = seed_override if seed_override is not None else raw.get("seed")
+    top = _block(raw, "config", {
+        "seed": (int, None), "dataset": (dict, {"demo": {}}), "split": (dict, {}),
+        "preprocessor_fit": (str, "full"), "detectors": (dict, DEFAULT_DETECTORS),
+        "ensemble": (dict, {}), "omission": (dict, {}),
+    })
+    seed = seed_override if seed_override is not None else top["seed"]
     _require(seed is not None, "a seed is required (config 'seed' or --seed); no wall-clock default")
-    _require(isinstance(seed, int), f"seed must be an integer, got {seed!r}")
 
-    dataset_raw = raw.get("dataset", {"demo": {}})
-    _require(isinstance(dataset_raw, dict), "'dataset' must be an object")
-    if "demo" in dataset_raw:
-        demo_raw = dict(dataset_raw["demo"])
-        demo = {
-            "seed": int(demo_raw.get("seed", seed)),
-            "n_normal": int(demo_raw.get("n_normal", DEMO_N_NORMAL)),
-            "n_attack": int(demo_raw.get("n_attack", DEMO_N_ATTACK)),
-            "sigma": float(demo_raw.get("sigma", DEMO_SIGMA)),
-        }
-        _require_known(demo_raw, demo, "dataset.demo")
-        dataset = {"demo": demo}
+    if "demo" in top["dataset"]:
+        dataset = _block(top["dataset"], "dataset", {"demo": (dict, {})})
+        dataset["demo"] = _block(dataset["demo"], "dataset.demo", {
+            "seed": (int, seed), "n_normal": (int, DEMO_N_NORMAL),
+            "n_attack": (int, DEMO_N_ATTACK), "sigma": (float, DEMO_SIGMA),
+        })
     else:
-        _require(
-            "csv" in dataset_raw and "schema" in dataset_raw,
-            "'dataset' needs either a 'demo' block or 'csv' + 'schema' paths",
-        )
-        dataset = {"csv": str(dataset_raw["csv"]), "schema": str(dataset_raw["schema"])}
-    _require_known(dataset_raw, dataset, "dataset")
+        dataset = _block(top["dataset"], "dataset", {"csv": (str, MISSING), "schema": (str, MISSING)})
 
-    split_raw = raw.get("split", {})
-    _require(isinstance(split_raw, dict), "'split' must be an object")
-    try:
-        split = SplitPlan(
-            ratio=float(split_raw.get("ratio", 0.8)),
-            n_runs=int(split_raw.get("n_runs", 10)),
-            base_seed=int(split_raw.get("base_seed", seed)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad split plan: {exc}") from exc
-    _require_known(split_raw, dataclasses.asdict(split), "split")
+    split, split_block = _settings(SplitPlan, top["split"], "split", base_seed=seed)
 
-    preprocessor_fit = raw.get("preprocessor_fit", "full")
+    preprocessor_fit = top["preprocessor_fit"]
     _require(
         preprocessor_fit in ("full", "train"),
         f"preprocessor_fit must be 'full' or 'train', got {preprocessor_fit!r}",
@@ -224,66 +242,45 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
         "leak-free preprocessor_fit='train' is only supported for occ-eval",
     )
 
-    detectors_raw = raw.get("detectors", DEFAULT_DETECTORS)
-    _require(isinstance(detectors_raw, dict) and detectors_raw, "'detectors' must be a non-empty object")
-    detectors: dict[str, DetectorConfig] = {}
-    resolved_detectors: dict[str, dict] = {}
-    for name, entry in detectors_raw.items():
-        _require(isinstance(entry, dict), f"detector {name!r} must be an object")
-        _require_known(entry, _DETECTOR_KEYS, f"detector {name!r}",
-                       " (seeds are derived from the global seed)")
-        _require("variant" in entry, f"detector {name!r} needs a 'variant'")
-        try:
-            cfg = DetectorConfig(**entry)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"detector {name!r}: {exc}") from exc
-        detectors[name] = cfg
-        resolved_detectors[name] = {
-            key: value for key, value in dataclasses.asdict(cfg).items() if key in _DETECTOR_KEYS
-        }
+    _require(top["detectors"], "'detectors' must be a non-empty object")
+    detectors, resolved_detectors = {}, {}
+    for name, entry in top["detectors"].items():
+        detectors[name], resolved_detectors[name] = _settings(DetectorConfig, entry, f"detector {name!r}")
 
-    ensemble_raw = raw.get("ensemble", {})
-    _require(isinstance(ensemble_raw, dict), "'ensemble' must be an object")
-    members = tuple(ensemble_raw.get("members", list(detectors)))
+    ensemble_spec = {"members": ([str], list(detectors)), "levels": ([int], None)}
+    ensemble = _block(top["ensemble"], "ensemble", ensemble_spec)
+    members = ensemble["members"]
     for member in members:
         _require(member in detectors, f"ensemble member {member!r} is not a configured detector")
-    _require(len(set(members)) == len(members), f"ensemble.members repeats a detector: {list(members)}")
-    levels = tuple(int(k) for k in ensemble_raw.get("levels", range(1, len(members) + 1)))
+    _require(len(set(members)) == len(members), f"ensemble.members repeats a detector: {members}")
+    if ensemble["levels"] is None:
+        ensemble["levels"] = list(range(1, len(members) + 1))
+    levels = ensemble["levels"]
     for k in levels:
         _require(1 <= k <= len(members), f"ensemble level {k} out of range 1..{len(members)}")
-    _require(len(set(levels)) == len(levels), f"ensemble.levels repeats a level: {list(levels)}")
-    ensemble = {"members": list(members), "levels": list(levels)}
-    _require_known(ensemble_raw, ensemble, "ensemble")
+    _require(len(set(levels)) == len(levels), f"ensemble.levels repeats a level: {levels}")
 
-    omission_raw = raw.get("omission", {})
-    _require(isinstance(omission_raw, dict), "'omission' must be an object")
-    omission = {
-        "k_values": [int(k) for k in omission_raw.get("k_values", [1])],
-        "with_noise": bool(omission_raw.get("with_noise", True)),
-        "combination_cap": int(omission_raw.get("combination_cap", 20)),
-        "occ_detector": omission_raw.get("occ_detector"),
-        "attack_types": omission_raw.get("attack_types"),
-        "rf": dict(omission_raw.get("rf", {})),
-    }
-    _require_known(omission_raw, omission, "omission")
-    _require_known(omission["rf"], _RF_KEYS, "omission.rf")
-    if omission["occ_detector"] is not None:
-        _require(
-            omission["occ_detector"] in detectors,
-            f"omission.occ_detector {omission['occ_detector']!r} is not a configured detector",
-        )
+    omission = _block(top["omission"], "omission", {
+        "k_values": ([int], [1]), "with_noise": (bool, True), "combination_cap": (int, 20),
+        "occ_detector": (str, None), "attack_types": ([str], None), "rf": (dict, {}),
+    })
+    # A k above the number of attack types is a data error: that count comes from the data.
+    _require(all(k >= 1 for k in omission["k_values"]), "omission.k_values must all be >= 1")
+    _require(omission["combination_cap"] >= 1, "omission.combination_cap must be >= 1")
+    rf = _settings(ForestConfig, omission["rf"], "omission.rf")[1]
+    omission["rf"] = {key: rf[key] for key in omission["rf"]}  # only the keys the config sets
+    occ = omission["occ_detector"]
+    _require(occ in (None, *detectors), f"omission.occ_detector {occ!r} is not a configured detector")
 
-    resolved = {
-        "experiment": experiment,
-        "seed": seed,
+    blocks = {
         "dataset": dataset,
-        "split": dataclasses.asdict(split),
+        "split": split_block,
         "preprocessor_fit": preprocessor_fit,
         "detectors": resolved_detectors,
         "ensemble": ensemble,
     }
     if experiment == "omission":
-        resolved["omission"] = omission
+        blocks["omission"] = omission
 
     return ExperimentConfig(
         experiment=experiment,
@@ -292,10 +289,10 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
         split=split,
         preprocessor_fit=preprocessor_fit,
         detectors=detectors,
-        ensemble_members=members,
-        ensemble_levels=levels,
+        ensemble_members=tuple(members),
+        ensemble_levels=tuple(levels),
         omission=omission,
-        resolved=resolved,
+        resolved={"experiment": experiment, "seed": seed, **blocks},
     )
 
 
@@ -684,15 +681,17 @@ def cmd_report(run_dir: Path) -> Report:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="occkit", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    workers_help = {
+        "occ-eval": "worker threads for independent runs",
+        "omission": "must be 1: the omission grid runs serially",
+    }
     for name in ("occ-eval", "omission", "demo"):
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="experiment config JSON")
         p.add_argument("--out", type=Path, required=True, help="output directory root")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if name != "demo":
-            p.add_argument(
-                "--workers", type=int, default=1, help="worker threads for independent runs"
-            )
+        if name in workers_help:
+            p.add_argument("--workers", type=int, default=1, help=workers_help[name])
     p = sub.add_parser("report")
     p.add_argument("--run-dir", type=Path, required=True, help="run directory to audit")
     return parser

@@ -212,7 +212,8 @@ class Dataset:
     """Numeric feature matrix with binary labels and per-row attack-type tags.
 
     y is 0 for normal and 1 for attack; normal rows always carry an empty
-    attack_type. Arrays are frozen after construction.
+    attack_type. X and y are read-only views: a float64 X and an int64 y
+    share the caller's memory rather than being copied.
     """
 
     X: np.ndarray
@@ -221,8 +222,8 @@ class Dataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        X = np.array(self.X, dtype=np.float64)
-        y = np.array(self.y, dtype=np.int64)
+        X = np.asarray(self.X, dtype=np.float64).view()
+        y = np.asarray(self.y, dtype=np.int64).view()
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
         if y.shape != (X.shape[0],):

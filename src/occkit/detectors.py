@@ -125,8 +125,8 @@ class FittedDetector:
         raise NotImplementedError
 
     @classmethod
-    def _check_state(cls, state: dict[str, np.ndarray], feature_count: int) -> None:
-        """Raise ValueError unless each array has its `_STATE` shape."""
+    def _check_state(cls, config: DetectorConfig, state: dict[str, np.ndarray], feature_count: int) -> None:
+        """Raise ValueError unless each array has its `_STATE` shape; a variant may check `config`."""
         length = {"d": (feature_count, f"feature_count is {feature_count}")}
         for name, axes in cls._STATE:
             array = state[name]
@@ -241,8 +241,8 @@ class _ForestDetector(FittedDetector):
         return total / self.roots.size
 
     @classmethod
-    def _check_state(cls, state: dict[str, np.ndarray], feature_count: int) -> None:
-        super()._check_state(state, feature_count)
+    def _check_state(cls, config: DetectorConfig, state: dict[str, np.ndarray], feature_count: int) -> None:
+        super()._check_state(config, state, feature_count)
         _check_table(state, feature_count)
 
 
@@ -393,6 +393,13 @@ class LofDetector(FittedDetector):
                 reach = np.maximum(kdist[nb], row[nb])
                 lrd[i] = _lrd_from_reach(float(np.mean(reach)))
         return cls(config, X.shape[1], X_train=X.copy(), kdist=kdist, lrd=lrd)
+
+    @classmethod
+    def _check_state(cls, config: DetectorConfig, state: dict[str, np.ndarray], feature_count: int) -> None:
+        super()._check_state(config, state, feature_count)
+        k, rows = config.k_neighbors, state["X_train"].shape[0]
+        if k >= rows:
+            raise ValueError(f"lof state: k_neighbors={k} is not below X_train's {rows} rows")
 
     def score(self, X: np.ndarray) -> np.ndarray:
         k = self.config.k_neighbors
@@ -573,7 +580,7 @@ def load_detector(path: str | Path) -> FittedDetector:
             state[name] = np.asarray(saved[name])
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{variant} state: {name} is missing or ragged") from exc
-    cls._check_state(state, feature_count)
+    cls._check_state(config, state, feature_count)
     return cls(config, feature_count, **state)
 
 

@@ -112,6 +112,39 @@ def test_main_rejects_an_unknown_key_in_every_block(overrides, where, key, tmp_p
     assert not out.exists()
 
 
+def _with_forest(**settings):
+    forest = {**SMALL_DETECTORS["stochastic-forest"], **settings}
+    return {**SMALL_DETECTORS, "stochastic-forest": forest}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, named",
+    [
+        ("occ-eval", {"seed": True}, "config.seed must be a JSON integer"),
+        ("occ-eval", {"dataset": {"demo": {"n_normal": "many"}}}, "dataset.demo.n_normal"),
+        ("occ-eval", {"split": {"n_runs": 2.7}}, "split.n_runs must be a JSON integer"),
+        ("occ-eval", {"detectors": _with_forest(n_trees=2.5)}, "detector 'stochastic-forest'.n_trees"),
+        ("occ-eval", {"ensemble": {"members": "lof"}}, "ensemble.members must be a JSON list"),
+        ("occ-eval", {"ensemble": {"levels": ["x"]}}, "ensemble.levels must be a JSON list"),
+        ("omission", {"omission": {"k_values": "12"}}, "omission.k_values must be a JSON list"),
+        ("omission", {"omission": {"with_noise": "no"}}, "omission.with_noise must be a JSON boolean"),
+        ("omission", {"omission": {"rf": {"n_trees": "5"}}}, "omission.rf.n_trees must be a JSON integer"),
+        ("omission", {"omission": {"rf": {"n_trees": 0}}}, "omission.rf: n_trees must be >= 1"),
+        ("omission", {"omission": {"combination_cap": 0}}, "omission.combination_cap must be >= 1"),
+    ],
+    ids=[
+        "seed", "dataset.demo", "split", "detector", "ensemble.members", "ensemble.levels",
+        "omission.k_values", "omission.with_noise", "omission.rf-type", "omission.rf-range",
+        "omission.combination_cap",
+    ],
+)
+def test_main_rejects_a_wrong_typed_value_in_every_block(command, overrides, named, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(_occ_config(tmp_path, **overrides)), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _readme_example(tmp_path):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     example = readme.split("## Configuration", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]

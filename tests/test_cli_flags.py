@@ -44,6 +44,11 @@ def test_omission_rejects_more_than_one_worker(tmp_path, capsys):
     assert main(argv + ["--workers", "1"]) == 0
 
 
+def test_omission_help_says_workers_must_be_one(capsys):
+    assert _argparse_exit_code(["omission", "--help"]) == 0
+    assert "--workers WORKERS must be 1" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_occ_eval_rejects_workers_below_one(workers, tmp_path, capsys):
     config = tmp_path / "occ.json"

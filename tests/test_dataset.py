@@ -423,6 +423,16 @@ def test_dataset_invariants():
         data.X[0, 0] = 99.0  # arrays are frozen
 
 
+def test_dataset_holds_read_only_views_of_the_callers_arrays():
+    X = np.zeros((3, 2))
+    y = np.array([0, 1, 1], dtype=np.int64)
+    data = Dataset(X=X, y=y, attack_type=("", "a1", "a1"), feature_names=("f0", "f1"))
+    assert np.shares_memory(data.X, X) and np.shares_memory(data.y, y)
+    assert not data.X.flags.writeable and not data.y.flags.writeable
+    X[0, 0] = 5.0  # the caller's array stays writable
+    assert data.X[0, 0] == 5.0
+
+
 def test_save_dataset_csv_roundtrip(tmp_path):
     demo = generate_gaussian_demo(4, n_normal=10, n_attack=5)
     csv_path = tmp_path / "demo.csv"

@@ -539,6 +539,10 @@ def _damage(payload, case):
     if case == "lof-short-lrd":
         state["lrd"].pop()
         return "lof state: lrd has 59 entries, X_train has 60 rows"
+    if case == "lof-k-not-below-rows":
+        # fit never writes this; score would fail inside numpy's partition.
+        payload["config"]["k_neighbors"] = 60
+        return "lof state: k_neighbors=60 is not below X_train's 60 rows"
     if case == "lof-wide-rows":
         for row in state["X_train"]:
             row.append(0.5)
@@ -604,6 +608,7 @@ def _damage(payload, case):
         "lof-rows-unlike-kdist",
         "lof-short-kdist",
         "lof-short-lrd",
+        "lof-k-not-below-rows",
         "lof-wide-rows",
         "linear-recon-wide-basis",
         "linear-recon-wide-mean",
