@@ -267,6 +267,9 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
     # A k above the number of attack types is a data error: that count comes from the data.
     _require(all(k >= 1 for k in omission["k_values"]), "omission.k_values must all be >= 1")
     _require(omission["combination_cap"] >= 1, "omission.combination_cap must be >= 1")
+    tags = omission["attack_types"]
+    _require(tags != [], "omission.attack_types is empty; leave it out to use every tag in the data")
+    _require(tags is None or len(set(tags)) == len(tags), f"omission.attack_types repeats a type: {tags}")
     rf = _settings(ForestConfig, omission["rf"], "omission.rf")[1]
     omission["rf"] = {key: rf[key] for key in omission["rf"]}  # only the keys the config sets
     occ = omission["occ_detector"]
@@ -512,7 +515,8 @@ def cmd_omission(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> R
         raise ConfigError(f"omission runs its grid serially; --workers must be 1, got {workers}")
     source = _DataSource(config)
     data = source.dataset
-    tags = config.omission["attack_types"] or list(data.attack_tags())
+    tags = config.omission["attack_types"]
+    tags = data.attack_tags() if tags is None else tags
     if not tags:
         raise ValueError("omission experiments need a dataset with attack-type tags")
     plan = OmissionPlan(

@@ -132,50 +132,57 @@ def load_schema(path: str | Path) -> Schema:
 
 @dataclass(frozen=True)
 class RawTable:
-    """Parsed CSV cells, one tuple per column, still text; missing cells are None."""
+    """A CSV table after its one parse: one array per non-ignored column, by name.
+
+    Numeric columns are float64, `missing` marking their empty cells (a literal
+    "nan" stays a value); other columns are int64 codes into `texts`, their
+    sorted distinct non-empty cells, with -1 for an empty cell.
+    """
 
     header: tuple[str, ...]
-    columns: tuple[tuple[str | None, ...], ...]
+    columns: dict[str, np.ndarray]
+    missing: dict[str, np.ndarray]
+    texts: dict[str, tuple[str, ...]]
 
     @property
     def row_count(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
+        return len(next(iter(self.columns.values())))
 
     @property
     def col_count(self) -> int:
         return len(self.header)
 
-    def column(self, name: str) -> tuple[str | None, ...]:
-        try:
-            return self.columns[self.header.index(name)]
-        except ValueError:
-            raise ValueError(f"table has no column {name!r}") from None
-
     def subset(self, indices: Sequence[int]) -> RawTable:
-        columns = tuple(tuple(col[i] for i in indices) for col in self.columns)
-        return RawTable(header=self.header, columns=columns)
+        idx = np.asarray(indices, dtype=np.int64)
+        columns = {name: column[idx] for name, column in self.columns.items()}
+        missing = {name: mask[idx] for name, mask in self.missing.items()}
+        return RawTable(self.header, columns, missing, self.texts)
 
 
 def load_csv(path: str | Path, schema: Schema) -> RawTable:
-    """Read an RFC-4180 CSV with a header row; empty cells become missing.
+    """Read an RFC-4180 CSV with a header row into a RawTable, the only read of its cells.
 
     Raises:
-        ValueError: if a row's width differs from the header (the message
-            names the 1-based line number) or the header does not match the
-            schema's column set.
+        ValueError: if the header repeats a column or does not match the
+            schema's column set, a row's width differs from the header (the
+            message names the 1-based line number), or a numeric cell is not
+            a number (the message names the column and the 1-based data row).
     """
     path = Path(path)
-    schema_names = {name for name, _ in schema.columns}
+    kinds = dict(schema.columns)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: file is empty, expected a header row") from None
-        unknown = [c for c in header if c not in schema_names]
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise ValueError(f"{path}: header repeats columns: {repeated}")
+        unknown = [c for c in header if c not in kinds]
         if unknown:
             raise ValueError(f"{path}: header has columns not in schema: {unknown}")
-        missing = sorted(schema_names - set(header))
+        missing = sorted(set(kinds) - set(header))
         if missing:
             raise ValueError(f"{path}: header is missing schema columns: {missing}")
         rows = []
@@ -185,8 +192,36 @@ def load_csv(path: str | Path, schema: Schema) -> RawTable:
                     f"{path}: line {lineno} has {len(cells)} cells, expected {len(header)}"
                 )
             rows.append(cells)
-    columns = tuple(tuple([row[j] or None for row in rows]) for j in range(len(header)))
-    return RawTable(header=tuple(header), columns=columns)
+    by_column = np.array(rows, dtype=object).reshape(len(rows), len(header)).T
+    columns, missing_cells, texts = {}, {}, {}
+    for j, name in enumerate(header):
+        if kinds[name] == "ignored":
+            continue
+        cells = by_column[j].tolist()
+        if kinds[name] == "numeric":
+            columns[name], missing_cells[name] = _parse_numeric(cells, name)
+        else:
+            texts[name] = tuple(sorted(set(cells) - {""}))
+            code = {"": -1} | {text: i for i, text in enumerate(texts[name])}
+            columns[name] = np.fromiter(map(code.__getitem__, cells), np.int64, len(cells))
+    return RawTable(header=tuple(header), columns=columns, missing=missing_cells, texts=texts)
+
+
+def _parse_numeric(cells: list[str], column: str) -> tuple[np.ndarray, np.ndarray]:
+    """A numeric column as float64 plus its mask of empty cells, which read as NaN."""
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells)), np.zeros(len(cells), bool)
+    except ValueError:  # an empty cell or one that is not a number: go cell by cell
+        values = np.full(len(cells), np.nan)
+    for i, cell in enumerate(cells):
+        try:
+            if cell:
+                values[i] = float(cell)
+        except ValueError:
+            raise ValueError(
+                f"column {column!r}, data row {i + 1}: cannot parse {cell!r} as a number"
+            ) from None
+    return values, np.array([not cell for cell in cells], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -212,35 +247,35 @@ class Dataset:
     """Numeric feature matrix with binary labels and per-row attack-type tags.
 
     y is 0 for normal and 1 for attack; normal rows always carry an empty
-    attack_type. X and y are read-only views: a float64 X and an int64 y
-    share the caller's memory rather than being copied.
+    attack_type. X, y and attack_type are read-only views: a float64 X, an
+    int64 y and an object attack_type share the caller's memory rather than
+    being copied; any other sequence of tags becomes an object array.
     """
 
     X: np.ndarray
     y: np.ndarray
-    attack_type: tuple[str, ...]
+    attack_type: np.ndarray
     feature_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
         X = np.asarray(self.X, dtype=np.float64).view()
         y = np.asarray(self.y, dtype=np.int64).view()
+        tags = np.asarray(self.attack_type, dtype=object).view()
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
         if y.shape != (X.shape[0],):
             raise ValueError(f"y has shape {y.shape}, expected ({X.shape[0]},)")
         if y.size and not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be 0 (normal) or 1 (attack)")
-        if len(self.attack_type) != X.shape[0]:
+        if tags.shape != (X.shape[0],):
             raise ValueError("attack_type length must equal row count")
         if X.shape[1] != len(self.feature_names):
             raise ValueError("feature_names length must equal column count")
-        if (np.fromiter(self.attack_type, object, X.shape[0])[y == 0] != "").any():
+        if (tags[y == 0] != "").any():
             raise ValueError("normal rows must have an empty attack_type")
-        X.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "attack_type", tuple(self.attack_type))
+        for name, array in (("X", X), ("y", y), ("attack_type", tags)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @property
     def n_rows(self) -> int:
@@ -255,17 +290,13 @@ class Dataset:
         return Dataset(
             X=self.X[idx],
             y=self.y[idx],
-            attack_type=tuple(np.fromiter(self.attack_type, object, self.n_rows)[idx].tolist()),
+            attack_type=self.attack_type[idx],
             feature_names=self.feature_names,
         )
 
     def attack_tags(self) -> tuple[str, ...]:
         """Distinct attack-type tags present, in first-appearance order."""
-        seen: dict[str, None] = {}
-        for label, tag in zip(self.y, self.attack_type):
-            if label == 1 and tag not in seen:
-                seen[tag] = None
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.attack_type[self.y == 1].tolist()))
 
 
 @dataclass(frozen=True)
@@ -281,21 +312,6 @@ class SplitPlan:
             raise ValueError(f"ratio must be in (0,1), got {self.ratio}")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
-
-
-def _parse_numeric(cells: tuple[str | None, ...], column: str) -> np.ndarray:
-    """A numeric column as float64; missing cells read as NaN until imputed."""
-    try:
-        return np.array(cells, dtype=np.float64)
-    except ValueError:
-        for i, cell in enumerate(cells):
-            try:
-                float("nan" if cell is None else cell)
-            except ValueError:
-                raise ValueError(
-                    f"column {column!r}, data row {i + 1}: cannot parse {cell!r} as a number"
-                ) from None
-        raise
 
 
 def fit_preprocessor(table: RawTable, schema: Schema) -> PreprocessorState:
@@ -331,81 +347,68 @@ def _encode(
     """Imputed, one-hot encoded (but unscaled) matrix plus output feature names.
 
     A feature column with no entry in means / cats is fitted on this table and
-    the entry added, so fitting parses each cell once.
+    the entry added.
     """
     blocks: list[np.ndarray] = []
     names: list[str] = []
     for name, kind in schema.feature_columns:
-        col = table.column(name)
+        column = table.columns[name]
         if kind == "numeric":
-            values = _parse_numeric(col, name)
-            # only a NaN read from a missing cell is imputed, never a literal "nan"
-            missing = np.isnan(values)
-            missing[missing] = [col[i] is None for i in np.flatnonzero(missing)]
+            missing = table.missing[name]
             if name not in means:
-                present = values[~missing]
+                present = column[~missing]
                 if not present.size:
                     raise ValueError(f"numeric column {name!r} is entirely missing, cannot impute")
                 means[name] = math.fsum(present.tolist()) / present.size
-            values[missing] = means[name]
-            block = values[:, None]
+            block = np.where(missing, means[name], column)[:, None]
             names.append(name)
         else:
+            texts = table.texts[name]
             if name not in cats:
-                cats[name] = tuple(sorted(set(col) - {None}))
+                cats[name] = tuple(texts[code] for code in np.unique(column[column >= 0]))
             vocab = cats[name]
             index = {v: j for j, v in enumerate(vocab)}
-            codes = np.fromiter((index.get(c, -1) for c in col), dtype=np.int64, count=len(col))
-            # an unseen or missing category (code -1) stays all-zero
-            block = (codes[:, None] == np.arange(len(vocab))).astype(np.float64)
+            # an unseen or missing (code -1, the trailing slot) category stays all-zero
+            slots = np.array([index.get(text, -1) for text in texts] + [-1], dtype=np.int64)
+            block = (slots[column][:, None] == np.arange(len(vocab))).astype(np.float64)
             names.extend(f"{name}={v}" for v in vocab)
         blocks.append(block)
     X = np.hstack(blocks) if blocks else np.zeros((table.row_count, 0))
     return X, tuple(names)
 
 
-def extract_labels(table: RawTable, schema: Schema) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Binary labels and attack-type tags from the table's label/tag columns.
+def extract_labels(table: RawTable, schema: Schema) -> tuple[np.ndarray, np.ndarray]:
+    """Binary labels and attack-type tags (an object array) from the label/tag columns.
 
     Normal rows always get an empty tag, whatever the tag column holds. If a
     tag column exists, attack rows must have a non-empty tag; without one,
     attack rows are tagged with their raw label text, so a label column that
     carries attack names doubles as the tag source.
     """
-    label_col = table.column(schema.label_column)
+    codes, texts = table.columns[schema.label_column], table.texts[schema.label_column]
     wildcard_attack = "*" in schema.attack_values
-    y = np.empty(table.row_count, dtype=np.int64)
-    for i, cell in enumerate(label_col):
-        if cell is None:
+    # 0 normal, 1 attack, -1 unrecognized per distinct text; -2 for code -1, an empty cell
+    classes = [
+        0 if v in schema.normal_values else 1 if v in schema.attack_values or wildcard_attack else -1
+        for v in (text.strip().lower() for text in texts)
+    ]
+    y = np.array(classes + [-2], dtype=np.int64)[codes]
+    bad = np.flatnonzero(y < 0)
+    if bad.size:
+        i = int(bad[0])
+        if y[i] == -2:
             raise ValueError(f"label column, data row {i + 1}: missing label value")
-        v = cell.strip().lower()
-        if v in schema.normal_values:
-            y[i] = 0
-        elif v in schema.attack_values or wildcard_attack:
-            y[i] = 1
-        else:
-            raise ValueError(
-                f"label column, data row {i + 1}: unrecognized label {cell!r} "
-                f"(extend label_values in the schema file)"
-            )
-    tag_column = schema.tag_column
-    if tag_column is None:
-        tags = tuple(
-            "" if label == 0 else cell.strip() for label, cell in zip(y, label_col)
+        raise ValueError(
+            f"label column, data row {i + 1}: unrecognized label {texts[codes[i]]!r} "
+            f"(extend label_values in the schema file)"
         )
-    else:
-        raw_tags = table.column(tag_column)
-        tags_list = []
-        for i, (label, cell) in enumerate(zip(y, raw_tags)):
-            if label == 0:
-                tags_list.append("")
-            else:
-                if cell is None or cell.strip() == "":
-                    raise ValueError(
-                        f"attack-type column, data row {i + 1}: attack row has no tag"
-                    )
-                tags_list.append(cell.strip())
-        tags = tuple(tags_list)
+    if schema.tag_column is not None:
+        codes, texts = table.columns[schema.tag_column], table.texts[schema.tag_column]
+    tags = np.array([text.strip() for text in texts] + [""], dtype=object)[codes]
+    tags[y == 0] = ""
+    untagged = np.flatnonzero((y == 1) & (tags == ""))
+    if schema.tag_column is not None and untagged.size:
+        raise ValueError(f"attack-type column, data row {untagged[0] + 1}: attack row has no tag")
     return y, tags
 
 
@@ -490,8 +493,7 @@ def omit_attack_types(data: Dataset, combo: Iterable[str]) -> Dataset:
     unknown = sorted(combo_set - present)
     if unknown:
         raise ValueError(f"attack types not present in data: {unknown}")
-    keep = [i for i, tag in enumerate(data.attack_type) if tag not in combo_set]
-    return data.subset(keep)
+    return data.subset(np.flatnonzero(~np.isin(data.attack_type, list(combo_set))))
 
 
 def generate_gaussian_demo(
@@ -510,24 +512,10 @@ def generate_gaussian_demo(
     """
     centers = dict(DEMO_CENTERS if centers is None else centers)
     rng = np.random.default_rng([seed, 0x6D0])
-    parts = []
-    labels = []
-    tags: list[str] = []
-    for name, center in centers.items():
-        n = n_normal if name == "normal" else n_attack
-        parts.append(rng.normal(loc=center, scale=sigma, size=(n, 2)))
-        if name == "normal":
-            labels.append(np.zeros(n, dtype=np.int64))
-            tags.extend([""] * n)
-        else:
-            labels.append(np.ones(n, dtype=np.int64))
-            tags.extend([name] * n)
-    return Dataset(
-        X=np.vstack(parts),
-        y=np.concatenate(labels),
-        attack_type=tuple(tags),
-        feature_names=("x1", "x2"),
-    )
+    sizes = [n_normal if name == "normal" else n_attack for name in centers]
+    X = np.vstack([rng.normal(loc=c, scale=sigma, size=(n, 2)) for c, n in zip(centers.values(), sizes)])
+    tags = np.repeat(np.array(["" if name == "normal" else name for name in centers], object), sizes)
+    return Dataset(X=X, y=(tags != "").astype(np.int64), attack_type=tags, feature_names=("x1", "x2"))
 
 
 def generate_uniform_noise(n: int, d: int, seed: int) -> Dataset:
@@ -538,7 +526,7 @@ def generate_uniform_noise(n: int, d: int, seed: int) -> Dataset:
     return Dataset(
         X=rng.uniform(0.0, 1.0, size=(n, d)),
         y=np.ones(n, dtype=np.int64),
-        attack_type=tuple([NOISE_TAG] * n),
+        attack_type=np.full(n, NOISE_TAG, dtype=object),
         feature_names=tuple(f"f{j}" for j in range(d)),
     )
 

@@ -58,7 +58,7 @@ def augment_with_noise(train: Dataset, seed: int) -> Dataset:
     return Dataset(
         X=np.vstack([train.X, noise.X]),
         y=np.concatenate([train.y, noise.y]),
-        attack_type=train.attack_type + noise.attack_type,
+        attack_type=np.concatenate([train.attack_type, noise.attack_type]),
         feature_names=train.feature_names,
     )
 
@@ -87,6 +87,8 @@ class OmissionPlan:
         m = len(self.attack_types)
         if m == 0:
             raise ValueError("omission needs at least one attack type")
+        if len(set(self.attack_types)) != m:
+            raise ValueError(f"attack_types repeats a type: {list(self.attack_types)}")
         for k in self.k_values:
             if not 1 <= k <= m:
                 raise ValueError(f"k={k} out of range 1..{m}")
@@ -137,8 +139,8 @@ def _evaluate_predictions(test: Dataset, preds: np.ndarray, combo: tuple[str, ..
     row = metric_row(confusion(test.y, preds))
     omitted_recall = None
     if combo:
-        rows = [i for i, tag in enumerate(test.attack_type) if tag in combo]
-        if rows:
+        rows = np.isin(test.attack_type, combo)
+        if rows.any():
             omitted_recall = 100.0 * float(np.mean(preds[rows] == 1))
     return {**{name: row[name] for name in OMISSION_METRICS}, "omitted_recall": omitted_recall}
 
@@ -180,9 +182,7 @@ def run_omission_experiment(
     arm) is scored through a constant all-normal predictor, which is what an
     attack-blind supervised model degenerates to.
     """
-    present = set()
-    for tag in data.attack_tags():
-        present.add(tag)
+    present = set(data.attack_tags())
     for tag in plan.attack_types:
         if tag not in present:
             raise ValueError(f"attack type {tag!r} not present in data")

@@ -502,6 +502,20 @@ def test_failed_run_preserves_completed_rows(tmp_path, monkeypatch):
     assert not (out / "occ-eval" / config.config_hash / "per_run.csv").exists()
 
 
+def test_config_rejects_a_repeated_omission_attack_type(tmp_path):
+    config_path = _occ_config(tmp_path, omission={"attack_types": ["a1", "a1"]})
+    with pytest.raises(ConfigError, match="repeats a type"):
+        load_config(config_path, experiment="omission", seed_override=None)
+
+
+def test_main_rejects_an_empty_omission_attack_type_list(tmp_path, capsys):
+    config_path = _occ_config(tmp_path, omission={"attack_types": []})
+    out = tmp_path / "out"
+    assert main(["omission", "--config", str(config_path), "--out", str(out)]) == 2
+    assert "omission.attack_types is empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_leak_free_mode_rejected_for_omission(tmp_path):
     csv_path, schema_path = _ids_like_csv(tmp_path)
     config_path = _occ_config(
@@ -527,6 +541,21 @@ def test_main_missing_seed_exit_code(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"dataset": {"demo": {}}}))
     assert main(["occ-eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("preprocessor_fit", ["full", "train"])
+def test_main_bad_numeric_cell_names_its_row_in_the_file(tmp_path, capsys, preprocessor_fit):
+    csv_path, schema_path = _ids_like_csv(tmp_path)
+    lines = csv_path.read_text().splitlines()
+    lines[60] = "fast" + lines[60][lines[60].index(","):]
+    csv_path.write_text("\n".join(lines) + "\n")
+    cfg = _occ_config(
+        tmp_path,
+        dataset={"csv": str(csv_path), "schema": str(schema_path)},
+        preprocessor_fit=preprocessor_fit,
+    )
+    assert main(["occ-eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "column 'duration', data row 60: cannot parse 'fast'" in capsys.readouterr().err
 
 
 def test_main_report_data_error(tmp_path):

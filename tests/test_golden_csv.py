@@ -69,11 +69,11 @@ def test_table_has_the_cases_it_claims(tmp_path):
     csv_path, schema_path = _write_table(tmp_path)
     schema = load_schema(schema_path)
     table = load_csv(csv_path, schema)
-    assert None in table.column("duration")
-    assert None in table.column("flag")
-    assert set(table.column("const")) == {"1"}
+    assert table.missing["duration"].any()
+    assert -1 in table.columns["flag"]
+    assert not table.missing["const"].any() and set(table.columns["const"].tolist()) == {1.0}
     y, _ = extract_labels(table, schema)
-    rare_row = table.column("proto").index(RARE)
+    rare_row = table.columns["proto"].tolist().index(table.texts["proto"].index(RARE))
     train_has_rare = []
     for run in range(N_RUNS):
         train_idx, _ = stratified_indices(y, 0.8, np.random.default_rng([3, run]))

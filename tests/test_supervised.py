@@ -354,6 +354,11 @@ def test_omission_rejects_unknown_attack_type():
         run_omission_experiment(demo, plan, ForestConfig(n_trees=2))
 
 
+def test_omission_plan_rejects_a_repeated_attack_type():
+    with pytest.raises(ValueError, match="repeat"):
+        OmissionPlan(attack_types=("a1", "a1"), k_values=(1,), n_runs=1)
+
+
 def test_omission_combination_cap():
     rng = np.random.default_rng(12)
     tags = tuple(f"a{i}" for i in range(6))
