@@ -19,13 +19,14 @@ consistency failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -304,10 +305,11 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
 
 
 class _DataSource:
-    """Produces (train, test) datasets per run, honoring the leak-free flag."""
+    """Produces each run's (normal training rows, test) datasets, honoring the leak-free flag."""
 
     def __init__(self, config: ExperimentConfig) -> None:
         self._dataset: Dataset | None = None
+        self._last: tuple[int, tuple[Dataset, Dataset]] | None = None
         entry = config.dataset
         if "demo" in entry:
             self._dataset = generate_gaussian_demo(**entry["demo"])
@@ -328,15 +330,27 @@ class _DataSource:
         return self._dataset
 
     def split_for_run(self, plan: SplitPlan, run: int) -> tuple[Dataset, Dataset]:
+        """(normal rows of the training fold, test fold) of `run`.
+
+        The training fold is dropped here; the last run's pair is kept, so
+        consecutive cells of one run split (and refit the preprocessor) once.
+        """
+        if self._last is None or self._last[0] != run:
+            self._last = None  # free the previous run's folds before making the next
+            self._last = run, self._split(plan, run)
+        return self._last[1]
+
+    def _split(self, plan: SplitPlan, run: int) -> tuple[Dataset, Dataset]:
         if self._dataset is not None:
-            return stratified_split(self._dataset, plan, run)
+            train, test = stratified_split(self._dataset, plan, run)
+            return filter_normal(train), test
         rng = np.random.default_rng([plan.base_seed, run])
         train_idx, test_idx = stratified_indices(self._y, plan.ratio, rng)
         train_table = self._table.subset(train_idx)
         state = fit_preprocessor(train_table, self._schema)
         train = apply_preprocessor(state, train_table, self._schema)
         test = apply_preprocessor(state, self._table.subset(test_idx), self._schema)
-        return train, test
+        return filter_normal(train), test
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +403,33 @@ def _occ_predict(cfg: DetectorConfig, normals: np.ndarray, X: np.ndarray) -> np.
     return classify(score_detector(det, X), threshold)
 
 
-def _occ_rows_for_run(config: ExperimentConfig, source: _DataSource, run: int) -> list[dict]:
-    train, test = source.split_for_run(config.split, run)
-    normals = filter_normal(train)
-    preds_by_name = {
-        name: _occ_predict(
-            dataclasses.replace(cfg, seed=derive_seed(config.seed, "detector", name, run)),
-            normals.X,
-            test.X,
-        )
-        for name, cfg in config.detectors.items()
-    }
+def _occ_cell(
+    config: ExperimentConfig, source: _DataSource, cell: tuple[int, str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One (run, detector) cell: the run's test labels and the detector's predictions on them."""
+    run, name = cell
+    normals, test = source.split_for_run(config.split, run)
+    cfg = dataclasses.replace(config.detectors[name], seed=derive_seed(config.seed, "detector", name, run))
+    return test.y, _occ_predict(cfg, normals.X, test.X)
+
+
+# The (config, source) a worker process was forked with. Only the pool's
+# initializer sets it, in the worker; the process running the experiment never does.
+_worker_context: tuple = ()
+
+
+def _enter_worker(config: ExperimentConfig, source: _DataSource) -> None:
+    global _worker_context
+    _worker_context = (config, source)
+
+
+def _worker_cell(cell: tuple[int, str]) -> tuple[np.ndarray, np.ndarray]:
+    return _occ_cell(*_worker_context, cell)
+
+
+def _occ_rows_for_run(
+    config: ExperimentConfig, run: int, y_test: np.ndarray, preds_by_name: dict[str, np.ndarray]
+) -> list[dict]:
     members = config.ensemble_members
     matrix = PredictionMatrix(
         preds=np.array([preds_by_name[m] for m in members]), model_names=members
@@ -414,7 +444,7 @@ def _occ_rows_for_run(config: ExperimentConfig, source: _DataSource, run: int) -
             "model": model,
             "kind": kind,
             "n_models": n_models,
-            **metric_row(confusion(test.y, preds)),
+            **metric_row(confusion(y_test, preds)),
         }
         for model, kind, n_models, preds in models
     ]
@@ -464,23 +494,48 @@ def _finalize(config: ExperimentConfig, run_dir: Path, blocks: dict) -> Report:
 def cmd_occ_eval(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> Report:
     """Run the full one-class pipeline over every split and persist results.
 
-    A failing run aborts the experiment with a diagnostic naming the run;
-    rows from already-completed runs are preserved in per_run.partial.csv.
+    Each (run, detector) cell runs on one of up to `workers` forked worker
+    processes; rows are built from the cells in (run, detector) order, so
+    the output does not depend on `workers`. A failing cell aborts the
+    experiment with a diagnostic naming its run; rows from the runs before
+    it are preserved in per_run.partial.csv.
     """
     if workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {workers}")
-    source = _DataSource(config)
+    if workers > 1:
+        # Imported here only: `import occkit.cli` stays light for every other use.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ConfigError(f"--workers {workers} needs the 'fork' start method; this platform has none")
     runs = range(config.split.n_runs)
+    cells = [(run, name) for run in runs for name in config.detectors]
+    workers = min(workers, len(cells))
+    source = _DataSource(config)
     run_dir = _run_dir(config, out_dir)
     per_run: list[list[dict]] = []
     try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for chunk in pool.map(lambda r: _occ_rows_for_run(config, source, r), runs):
-                    per_run.append(chunk)
-        else:
-            for r in runs:
-                per_run.append(_occ_rows_for_run(config, source, r))
+        with contextlib.ExitStack() as stack:
+            if workers > 1:
+                # Fork, not spawn: the workers inherit (config, source) and the
+                # loaded data copy-on-write, so only (run, name) is sent to a
+                # worker and only (test labels, predictions) come back. The
+                # pool forks them all before it starts its own thread.
+                pool = stack.enter_context(ProcessPoolExecutor(
+                    workers,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_enter_worker,
+                    initargs=(config, source),
+                ))
+                outcomes = pool.map(_worker_cell, cells)
+            else:
+                outcomes = map(functools.partial(_occ_cell, config, source), cells)
+            for run in runs:
+                preds_by_name = {}
+                for name in config.detectors:
+                    y_test, preds_by_name[name] = next(outcomes)
+                per_run.append(_occ_rows_for_run(config, run, y_test, preds_by_name))
     except Exception as exc:
         completed = [row for chunk in per_run for row in chunk]
         if completed:
@@ -686,7 +741,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="occkit", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     workers_help = {
-        "occ-eval": "worker threads for independent runs",
+        "occ-eval": "worker processes for the independent (run, detector) cells (needs fork)",
         "omission": "must be 1: the omission grid runs serially",
     }
     for name in ("occ-eval", "omission", "demo"):

@@ -206,19 +206,26 @@ def leaf_sums(
     """Per row of X, the sum over trees, in tree order, of payload at the leaf it reaches.
 
     Up to _CHUNK_PAIRS rows, the (tree, row) pairs of a chunk of trees descend
-    together one level per step. With more rows, each tree is walked on its
-    own by partitioning the row indices at every node. Both give the same
-    sums; each was the slower one on one side of that row count.
+    together one level per step. With more rows, each block of _CHUNK_PAIRS
+    rows walks each tree on its own, partitioning the row indices at every
+    node. Both give the same sums; each was the slower one on one side of
+    that row count.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     n = X.shape[0]
     total = np.zeros(n, dtype=np.float64)
     if n > _CHUNK_PAIRS:
         table = feature.tolist(), value.tolist(), left.tolist(), payload.tolist()
-        at_leaf = np.empty(n, dtype=np.float64)
-        for root in roots.tolist():
-            _fill_by_partition(table, root, X, at_leaf)
-            total += at_leaf
+        for start in range(0, n, _CHUNK_PAIRS):
+            # One contiguous copy per block, so each node reads a feature's
+            # values from one row of it instead of a strided column of X;
+            # a block at a time bounds the copy.
+            block = np.ascontiguousarray(X[start : start + _CHUNK_PAIRS].T)
+            at_leaf = np.empty(block.shape[1], dtype=np.float64)
+            block_total = total[start : start + _CHUNK_PAIRS]
+            for root in roots.tolist():
+                _fill_by_partition(table, root, block, at_leaf)
+                block_total += at_leaf
         return total
     per_chunk = max(1, _CHUNK_PAIRS // max(n, 1))
     for t in range(0, len(roots), per_chunk):
@@ -227,10 +234,13 @@ def leaf_sums(
     return total
 
 
-def _fill_by_partition(table: tuple, root: int, X: np.ndarray, out: np.ndarray) -> None:
-    """Write into out the payload at the leaf each row of X reaches in the tree at `root`."""
+def _fill_by_partition(table: tuple, root: int, XT: np.ndarray, out: np.ndarray) -> None:
+    """Write into out the payload at the leaf each column of XT reaches in the tree at `root`.
+
+    XT is a block of rows of X, transposed: one row per feature.
+    """
     feature, value, left, payload = table
-    stack = [(root, np.arange(X.shape[0]))]
+    stack = [(root, np.arange(XT.shape[1]))]
     while stack:
         node, idx = stack.pop()
         if idx.size == 0:
@@ -239,7 +249,7 @@ def _fill_by_partition(table: tuple, root: int, X: np.ndarray, out: np.ndarray) 
         if child < 0:
             out[idx] = payload[node]
             continue
-        going_left = X[:, feature[node]][idx] < value[node]
+        going_left = XT[feature[node]][idx] < value[node]
         stack.append((child, idx[going_left]))
         stack.append((child + 1, idx[~going_left]))
 

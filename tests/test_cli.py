@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import re
 from pathlib import Path
 
@@ -480,17 +481,22 @@ def test_omission_on_csv_dataset_by_attack_name(tmp_path):
     assert "k=1/plain" in report.blocks
 
 
-def test_failed_run_preserves_completed_rows(tmp_path, monkeypatch):
+def _fail_run_2(monkeypatch):
+    """Make every cell of run 2 raise, naming the process it ran in."""
     import occkit.cli as cli_mod
 
-    real = cli_mod._occ_rows_for_run
+    real = cli_mod._occ_cell
 
-    def flaky(config, source, run):
-        if run == 2:
-            raise ValueError("synthetic failure")
-        return real(config, source, run)
+    def flaky(config, source, cell):
+        if cell[0] == 2:
+            raise ValueError(f"synthetic failure in process {os.getpid()}")
+        return real(config, source, cell)
 
-    monkeypatch.setattr(cli_mod, "_occ_rows_for_run", flaky)
+    monkeypatch.setattr(cli_mod, "_occ_cell", flaky)
+
+
+def test_failed_run_preserves_completed_rows(tmp_path, monkeypatch):
+    _fail_run_2(monkeypatch)
     config_path = _occ_config(tmp_path)
     config = load_config(config_path, experiment="occ-eval", seed_override=None)
     out = tmp_path / "out"
@@ -500,6 +506,24 @@ def test_failed_run_preserves_completed_rows(tmp_path, monkeypatch):
     rows = _read_csv(partial)
     assert {r["run"] for r in rows} == {"0", "1"}
     assert not (out / "occ-eval" / config.config_hash / "per_run.csv").exists()
+
+
+def test_failed_cell_in_a_worker_process_preserves_completed_rows(tmp_path, monkeypatch):
+    _fail_run_2(monkeypatch)
+    config_path = _occ_config(tmp_path)
+    config = load_config(config_path, experiment="occ-eval", seed_override=None)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"aborted at run 2: synthetic failure in process (\d+)") as exc:
+        cmd_occ_eval(config, out, workers=2)
+    assert int(re.search(r"process (\d+)", str(exc.value)).group(1)) != os.getpid()
+    run_dir = out / "occ-eval" / config.config_hash
+    serial = tmp_path / "serial"
+    cmd_occ_eval(load_config(_occ_config(tmp_path, split={"ratio": 0.8, "n_runs": 2}),
+                             experiment="occ-eval", seed_override=None), serial)
+    # The rows of runs 0 and 1 are the ones a clean two-run experiment writes.
+    partial = (run_dir / "per_run.partial.csv").read_text()
+    assert partial == next(serial.glob("occ-eval/*/per_run.csv")).read_text()
+    assert not (run_dir / "per_run.csv").exists()
 
 
 def test_config_rejects_a_repeated_omission_attack_type(tmp_path):

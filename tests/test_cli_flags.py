@@ -1,9 +1,12 @@
 """Every CLI flag does something: forms that would be silently ignored are rejected."""
 
+import concurrent.futures
 import json
+import multiprocessing
 
 import pytest
 
+import occkit.cli as cli
 from occkit.cli import main
 
 
@@ -58,6 +61,64 @@ def test_occ_eval_rejects_workers_below_one(workers, tmp_path, capsys):
     assert main(argv) == 2
     assert "--workers must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _occ_eval_config(tmp_path, n_runs, detectors):
+    path = tmp_path / f"occ-{n_runs}x{len(detectors)}.json"
+    variants = {name: {"variant": name, "n_trees": 5} for name in detectors}
+    path.write_text(json.dumps({"seed": 3, "split": {"n_runs": n_runs}, "detectors": variants}))
+    return path
+
+
+def test_occ_eval_workers_need_fork(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    config = _occ_eval_config(tmp_path, 2, ["isolation-forest"])
+    out = tmp_path / "out"
+    argv = ["occ-eval", "--config", str(config), "--out", str(out)]
+    assert main(argv + ["--workers", "2"]) == 2
+    assert "needs the 'fork' start method" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--workers", "1"]) == 0
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs the cells in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, *, mp_context, initializer, initargs):
+        _InlinePool.sizes.append((max_workers, mp_context.get_start_method()))
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, cells):
+        return map(fn, cells)
+
+
+@pytest.mark.parametrize(
+    ("n_runs", "detectors", "sizes"),
+    [
+        (1, ["isolation-forest", "stochastic-forest"], [(2, "fork")]),  # 2 cells
+        (3, ["isolation-forest"], [(3, "fork")]),  # 3 cells
+        (1, ["isolation-forest"], []),  # 1 cell: no pool
+    ],
+)
+def test_occ_eval_forks_no_more_workers_than_cells(n_runs, detectors, sizes, tmp_path, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(cli, "_worker_context", ())
+    config = _occ_eval_config(tmp_path, n_runs, detectors)
+    outs = [tmp_path / "w8", tmp_path / "w1"]
+    for out, workers in zip(outs, ("8", "1")):
+        assert main(["occ-eval", "--config", str(config), "--out", str(out), "--workers", workers]) == 0
+    assert _InlinePool.sizes == sizes
+    blobs = [next(out.glob("occ-eval/*/per_run.csv")).read_bytes() for out in outs]
+    assert blobs[0] == blobs[1]
 
 
 def test_report_rejects_out_alias(tmp_path):

@@ -71,8 +71,9 @@ def test_leaf_sums_branches_agree_with_row_by_row_descent(kind, monkeypatch):
     want = _descend_sums(*table, probes)
     got = {}
     # 50 rows: 3 trees per level-synchronous chunk (the last one partial), or
-    # the row-partition walk once the rows exceed the pair budget.
-    for branch, pairs in (("level", 150), ("partition", 49)):
+    # the row-partition walk once the rows exceed the pair budget, on row
+    # blocks of 49 + 1 or of 16 + 16 + 16 + 2.
+    for branch, pairs in (("level", 150), ("partition", 49), ("partition-16", 16)):
         monkeypatch.setattr(trees, "_CHUNK_PAIRS", pairs)
         got[branch] = trees.leaf_sums(*table, probes)
         assert got[branch].dtype == np.float64
