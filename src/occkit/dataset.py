@@ -35,7 +35,6 @@ __all__ = [
     "omit_attack_types",
     "generate_gaussian_demo",
     "generate_uniform_noise",
-    "save_dataset_csv",
 ]
 
 COLUMN_KINDS = ("numeric", "categorical", "binary-label", "attack-type-tag", "ignored")
@@ -166,7 +165,8 @@ def load_csv(path: str | Path, schema: Schema) -> RawTable:
         ValueError: if the header repeats a column or does not match the
             schema's column set, a row's width differs from the header (the
             message names the 1-based line number), or a numeric cell is not
-            a number (the message names the column and the 1-based data row).
+            a finite number (the message names the column and the 1-based
+            data row).
     """
     path = Path(path)
     kinds = dict(schema.columns)
@@ -208,20 +208,30 @@ def load_csv(path: str | Path, schema: Schema) -> RawTable:
 
 
 def _parse_numeric(cells: list[str], column: str) -> tuple[np.ndarray, np.ndarray]:
-    """A numeric column as float64 plus its mask of empty cells, which read as NaN."""
+    """A numeric column as float64 plus its mask of empty cells, which read as NaN.
+
+    A cell that is not a number, or that reads as nan, inf or a value beyond
+    the double range, raises ValueError naming the column and its data row.
+    """
     try:
-        return np.fromiter(map(float, cells), np.float64, len(cells)), np.zeros(len(cells), bool)
+        values = np.fromiter(map(float, cells), np.float64, len(cells))
+        empty = np.zeros(len(cells), bool)
     except ValueError:  # an empty cell or one that is not a number: go cell by cell
         values = np.full(len(cells), np.nan)
-    for i, cell in enumerate(cells):
-        try:
-            if cell:
-                values[i] = float(cell)
-        except ValueError:
-            raise ValueError(
-                f"column {column!r}, data row {i + 1}: cannot parse {cell!r} as a number"
-            ) from None
-    return values, np.array([not cell for cell in cells], dtype=bool)
+        for i, cell in enumerate(cells):
+            try:
+                if cell:
+                    values[i] = float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"column {column!r}, data row {i + 1}: cannot parse {cell!r} as a number"
+                ) from None
+        empty = np.array([not cell for cell in cells], dtype=bool)
+    bad = ~(np.isfinite(values) | empty)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"column {column!r}, data row {i + 1}: {cells[i]!r} is not a finite number")
+    return values, empty
 
 
 @dataclass(frozen=True)
@@ -529,28 +539,3 @@ def generate_uniform_noise(n: int, d: int, seed: int) -> Dataset:
         attack_type=np.full(n, NOISE_TAG, dtype=object),
         feature_names=tuple(f"f{j}" for j in range(d)),
     )
-
-
-def save_dataset_csv(data: Dataset, csv_path: str | Path, manifest_path: str | Path | None = None) -> None:
-    """Persist a preprocessed dataset as CSV plus a small JSON manifest."""
-    csv_path = Path(csv_path)
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([*data.feature_names, "label", "attack_type"])
-        for i in range(data.n_rows):
-            writer.writerow(
-                [*(repr(float(v)) for v in data.X[i]), int(data.y[i]), data.attack_type[i]]
-            )
-    if manifest_path is not None:
-        manifest = {
-            "feature_names": list(data.feature_names),
-            "label_column": "label",
-            "row_counts": {
-                "total": data.n_rows,
-                "normal": int(np.sum(data.y == 0)),
-                "attack": int(np.sum(data.y == 1)),
-            },
-        }
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")

@@ -354,17 +354,107 @@ class StochasticForestDetector(_ForestDetector):
 # ---------------------------------------------------------------------------
 # local outlier factor
 
+# Doubles in one (rows x training rows) block of the candidate filter, and in
+# one gathered (pairs x features) chunk of the exact recompute.
+_BLOCK_ELEMENTS = 1 << 21
 
-def _distance_rows(A: np.ndarray, B: np.ndarray, block: int = 256):
-    """Yield (start, distance block) for rows of A against all of B."""
-    for start in range(0, A.shape[0], block):
-        chunk = A[start : start + block]
-        d2 = ((chunk[:, None, :] - B[None, :, :]) ** 2).sum(axis=-1)
-        yield start, np.sqrt(d2)
+# Neighbour pairs a fit holds between its kdist and LRD steps. Only ties on a
+# large scale (many duplicate rows) overrun it; the rows that do are filtered
+# again for their LRD.
+_KEPT_PAIRS = 1 << 21
 
 
-def _lrd_from_reach(mean_reach: float) -> float:
-    return LRD_SENTINEL if mean_reach == 0.0 else 1.0 / mean_reach
+def _neighbour_blocks(Q: np.ndarray, X: np.ndarray, k: int, own: np.ndarray | None = None):
+    """Yield (start, kdist, counts, columns, distances) per block of Q's rows.
+
+    A row's neighbours are the rows of X at or within its k-distance, the k-th
+    smallest distance to X; `own[r]`, if given, is row r's own column, which
+    never counts. `counts` holds each row's neighbour count, and `columns` and
+    `distances` hold the neighbours of the block's rows, row after row, each
+    row's in ascending column order. Every distance is
+    sqrt(((a - b) ** 2).sum(axis=-1)), bit for bit.
+
+    The Gram form only picks candidates. Write h = fl(|b|^2 - 2 a.b), which
+    ranks a row's columns as |a - b|^2 does, u = 2^-53, gamma_n = n u / (1 - n u)
+    and N = |a|^2 + |b|^2 (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3; no underflow or overflow):
+      - whatever the summation order, |b|^2 and a.b err by at most gamma_d
+        times the sum of their terms' magnitudes, and 2 sum |a_i b_i| <= N, so
+        h is within 2 gamma_{d+1} N of |b|^2 - 2 a.b;
+      - the exact e = fl(sum fl(fl(a - b)^2)) is within
+        gamma_{d+2} |a - b|^2 <= 2 gamma_{d+2} N of |a - b|^2;
+      - so h + |a|^2 and e differ by at most M = 4 gamma_{d+2} N.
+    Let h_k be the row's k-th smallest h. Its k columns at or below h_k have
+    e <= h_k + |a|^2 + M, so the k-th smallest e, e_k, is at most that. A
+    column ties the k-th distance after the square root when
+    e <= e_k (1 + 4.01 u), that is e_k + 8.1 u N at most. Every such column has
+    h <= h_k + 2 M + 8.1 u N, and rounding h_k + 2 margin costs at most
+    2.1 u N more. The margin below, 8 (d + 8) u N with N taken at the largest
+    |b|^2, is twice the M + 5.1 u N that this needs, which covers the rounding
+    of the norms and of the margin itself.
+    """
+    m, d = X.shape
+    sq = np.square(X).sum(axis=1)
+    margin = 8.0 * (d + 8) * (np.finfo(np.float64).eps / 2) * (np.square(Q).sum(axis=1) + sq.max())
+    step = max(1, _BLOCK_ELEMENTS // m)
+    h_block = np.empty(min(step, Q.shape[0]) * m)
+    kth_block = np.empty_like(h_block)
+    chunk = max(1, _BLOCK_ELEMENTS // d)
+    for start in range(0, Q.shape[0], step):
+        A = Q[start : start + step]
+        r = A.shape[0]
+        # -2 scales every product and partial sum exactly: this is -2 (A @ X.T).
+        h = np.matmul(-2.0 * A, X.T, out=h_block[: r * m].reshape(r, m))
+        h += sq
+        if own is not None:
+            h[np.arange(r), own[start : start + r]] = np.inf
+        kth = kth_block[: r * m].reshape(r, m)
+        np.copyto(kth, h)
+        kth.partition(k - 1, axis=1)
+        bound = kth[:, k - 1] + 2.0 * margin[start : start + r]
+        row, col = np.divmod(np.flatnonzero(h <= bound[:, None]), m)
+        dist = np.empty(row.size)
+        for at in range(0, row.size, chunk):
+            diff = A[row[at : at + chunk]]
+            diff -= X[col[at : at + chunk]]
+            dist[at : at + chunk] = np.sqrt(np.square(diff, out=diff).sum(axis=-1))
+        # Each row's k-th smallest candidate distance, from its candidates
+        # padded with inf; a row has at most m of them, so they fit in kth.
+        counts = np.bincount(row, minlength=r)
+        place = np.arange(row.size)
+        place -= (np.cumsum(counts) - counts)[row]
+        padded = kth_block[: r * counts.max()].reshape(r, -1)
+        padded.fill(np.inf)
+        padded[row, place] = dist
+        del place
+        padded.partition(k - 1, axis=1)
+        kdist = padded[:, k - 1].copy()
+        near = dist <= kdist[row]
+        counts = np.bincount(row[near], minlength=r)
+        del row
+        col, dist = col[near], dist[near]
+        yield start, kdist, counts, col, dist
+
+
+def _row_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """np.mean of each row's run of `values`, the runs in row order, bit for bit.
+
+    Rows are grouped by count and each group averaged as one C-contiguous
+    matrix, whose row means sum in np.mean's pairwise order; np.add.reduceat
+    sums in another.
+    """
+    starts = np.cumsum(counts) - counts
+    out = np.empty(counts.size)
+    for c in np.unique(counts):
+        rows = np.flatnonzero(counts == c)
+        out[rows] = values[starts[rows, None] + np.arange(c)].mean(axis=1)
+    return out
+
+
+def _lrd(reach: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each row's local reachability density: 1 / mean reach, LRD_SENTINEL where that mean is 0."""
+    mean = _row_means(reach, counts)
+    return np.divide(1.0, mean, out=np.full(mean.size, LRD_SENTINEL), where=mean != 0.0)
 
 
 class LofDetector(FittedDetector):
@@ -377,21 +467,24 @@ class LofDetector(FittedDetector):
         k = config.k_neighbors
         if n <= k:
             raise ValueError(f"lof needs more than k_neighbors={k} training rows, got {n}")
-        kdist = np.empty(n, dtype=np.float64)
-        for start, dist in _distance_rows(X, X):
-            for r in range(dist.shape[0]):
-                row = dist[r]
-                row[start + r] = np.inf  # a point is not its own neighbor
-                kdist[start + r] = np.partition(row, k - 1)[k - 1]
-        lrd = np.empty(n, dtype=np.float64)
-        for start, dist in _distance_rows(X, X):
-            for r in range(dist.shape[0]):
-                i = start + r
-                row = dist[r]
-                row[i] = np.inf
-                nb = np.flatnonzero(row <= kdist[i])
-                reach = np.maximum(kdist[nb], row[nb])
-                lrd[i] = _lrd_from_reach(float(np.mean(reach)))
+        everyone = np.arange(n)
+        kdist, lrd = np.empty(n), np.empty(n)
+        kept, again, held = [], [], 0
+        for start, kd, counts, cols, dists in _neighbour_blocks(X, X, k, own=everyone):
+            rows = everyone[start : start + kd.size]
+            kdist[rows] = kd
+            if held + cols.size <= _KEPT_PAIRS:
+                kept.append((rows, counts, cols, dists))
+                held += cols.size
+            else:
+                again.append(rows)
+        # A row's LRD needs its neighbours' kdist, so it waits for the whole pass.
+        for rows, counts, cols, dists in kept:
+            lrd[rows] = _lrd(np.maximum(kdist[cols], dists), counts)
+        if again:
+            rows = np.concatenate(again)
+            for start, kd, counts, cols, dists in _neighbour_blocks(X[rows], X, k, own=rows):
+                lrd[rows[start : start + kd.size]] = _lrd(np.maximum(kdist[cols], dists), counts)
         return cls(config, X.shape[1], X_train=X.copy(), kdist=kdist, lrd=lrd)
 
     @classmethod
@@ -402,16 +495,10 @@ class LofDetector(FittedDetector):
             raise ValueError(f"lof state: k_neighbors={k} is not below X_train's {rows} rows")
 
     def score(self, X: np.ndarray) -> np.ndarray:
-        k = self.config.k_neighbors
-        out = np.empty(X.shape[0], dtype=np.float64)
-        for start, dist in _distance_rows(X, self.X_train):
-            for r in range(dist.shape[0]):
-                row = dist[r]
-                kd = np.partition(row, k - 1)[k - 1]
-                nb = np.flatnonzero(row <= kd)
-                reach = np.maximum(self.kdist[nb], row[nb])
-                lrd_probe = _lrd_from_reach(float(np.mean(reach)))
-                out[start + r] = -float(np.mean(self.lrd[nb])) / lrd_probe
+        out = np.empty(X.shape[0])
+        for start, _, counts, cols, dists in _neighbour_blocks(X, self.X_train, self.config.k_neighbors):
+            lrd_probe = _lrd(np.maximum(self.kdist[cols], dists), counts)
+            out[start : start + counts.size] = -_row_means(self.lrd[cols], counts) / lrd_probe
         return out
 
 
@@ -431,6 +518,10 @@ def lof_brute_oracle(X_train: np.ndarray, X_probe: np.ndarray, k: int) -> np.nda
     def dist(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.sqrt(np.sum((a - b) ** 2)))
 
+    def lrd_of(reach: np.ndarray) -> float:
+        mean_reach = float(np.mean(reach))
+        return LRD_SENTINEL if mean_reach == 0.0 else 1.0 / mean_reach
+
     pair = np.array([[dist(X_train[i], X_train[j]) for j in range(n)] for i in range(n)])
     kdist = np.empty(n, dtype=np.float64)
     lrd = np.empty(n, dtype=np.float64)
@@ -443,7 +534,7 @@ def lof_brute_oracle(X_train: np.ndarray, X_probe: np.ndarray, k: int) -> np.nda
         others[i] = np.inf
         nb = np.flatnonzero(others <= kdist[i])
         reach = np.maximum(kdist[nb], others[nb])
-        lrd[i] = _lrd_from_reach(float(np.mean(reach)))
+        lrd[i] = lrd_of(reach)
 
     scores = np.empty(X_probe.shape[0], dtype=np.float64)
     for p in range(X_probe.shape[0]):
@@ -451,7 +542,7 @@ def lof_brute_oracle(X_train: np.ndarray, X_probe: np.ndarray, k: int) -> np.nda
         kd = np.sort(d)[k - 1]
         nb = np.flatnonzero(d <= kd)
         reach = np.maximum(kdist[nb], d[nb])
-        lrd_probe = _lrd_from_reach(float(np.mean(reach)))
+        lrd_probe = lrd_of(reach)
         scores[p] = -float(np.mean(lrd[nb])) / lrd_probe
     return scores
 

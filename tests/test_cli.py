@@ -582,6 +582,19 @@ def test_main_bad_numeric_cell_names_its_row_in_the_file(tmp_path, capsys, prepr
     assert "column 'duration', data row 60: cannot parse 'fast'" in capsys.readouterr().err
 
 
+def test_main_non_finite_numeric_cell_names_its_row_in_the_file(tmp_path, capsys):
+    csv_path, schema_path = _ids_like_csv(tmp_path)
+    lines = csv_path.read_text().splitlines()
+    cells = lines[60].split(",")
+    cells[1] = "inf"  # src_bytes, a column without empty cells
+    lines[60] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    cfg = _occ_config(tmp_path, dataset={"csv": str(csv_path), "schema": str(schema_path)})
+    assert main(["occ-eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "column 'src_bytes', data row 60: 'inf' is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_main_report_data_error(tmp_path):
     assert main(["report", "--run-dir", str(tmp_path / "missing")]) == 3
 

@@ -16,7 +16,6 @@ from occkit.dataset import (
     load_csv,
     load_schema,
     omit_attack_types,
-    save_dataset_csv,
     stratified_split,
 )
 
@@ -197,12 +196,11 @@ def test_apply_imputes_with_fitted_mean(tmp_path):
     assert ds.X[0, j] == pytest.approx(0.5)
 
 
-def test_literal_nan_cell_is_a_value_not_a_missing_cell(tmp_path):
-    state = fit_preprocessor(_table(tmp_path, "1,tcp,normal,\n3,tcp,normal,\n"), SCHEMA)
-    ds = apply_preprocessor(state, _table(tmp_path, ",tcp,normal,\nnan,tcp,normal,\n"), SCHEMA)
-    j = ds.feature_names.index("duration")
-    assert ds.X[0, j] == pytest.approx(0.5)
-    assert np.isnan(ds.X[1, j])
+@pytest.mark.parametrize("cell", ["nan", "-NaN", "inf", "-Infinity", "1e400"])
+def test_non_finite_cell_names_column_and_data_row(tmp_path, cell):
+    # an empty cell stays a missing value; only a non-finite number is rejected
+    with pytest.raises(ValueError, match=rf"column 'duration', data row 3: '{cell}' is not a finite number"):
+        _table(tmp_path, f"1,tcp,normal,\n,tcp,normal,\n{cell},tcp,normal,\n2,tcp,normal,\n")
 
 
 def test_apply_unseen_category_is_zero_block(tmp_path):
@@ -439,15 +437,3 @@ def test_dataset_holds_read_only_views_of_the_callers_arrays():
     assert not data.X.flags.writeable and not data.y.flags.writeable
     X[0, 0] = 5.0  # the caller's array stays writable
     assert data.X[0, 0] == 5.0
-
-
-def test_save_dataset_csv_roundtrip(tmp_path):
-    demo = generate_gaussian_demo(4, n_normal=10, n_attack=5)
-    csv_path = tmp_path / "demo.csv"
-    manifest_path = tmp_path / "demo.json"
-    save_dataset_csv(demo, csv_path, manifest_path)
-    manifest = json.loads(manifest_path.read_text())
-    assert manifest["row_counts"] == {"total": 20, "normal": 10, "attack": 10}
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "x1,x2,label,attack_type"
-    assert len(lines) == 21

@@ -3,14 +3,16 @@ import hashlib
 import json
 import math
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occkit import trees
+from occkit import detectors, trees
 from occkit.detectors import (
+    LRD_SENTINEL,
     PERSIST_FORMAT_VERSION,
     DetectorConfig,
     VARIANTS,
@@ -212,6 +214,138 @@ def test_lof_duplicate_points_stay_finite():
     s = score(det, np.array([[0.0, 0.0], [0.5, 0.5]]))
     assert np.all(np.isfinite(s))
     assert s[0] > s[1]  # the duplicated location is more normal than the gap
+
+
+def _lof_row_by_row(X_train, X_probe, k):
+    """kdist, lrd and negated scores of LOF, one row at a time.
+
+    Each block of rows gets its distances from one (rows, m, d) difference
+    tensor; each row then takes its k-distance with np.partition and every
+    mean with np.mean over its neighbours, in column order. The blocked lof
+    variant must reproduce these three arrays bit for bit.
+    """
+
+    def distance_rows(A, B, block=256):
+        for start in range(0, A.shape[0], block):
+            chunk = A[start : start + block]
+            yield start, np.sqrt(((chunk[:, None, :] - B[None, :, :]) ** 2).sum(axis=-1))
+
+    def lrd_of(reach):
+        mean_reach = float(np.mean(reach))
+        return LRD_SENTINEL if mean_reach == 0.0 else 1.0 / mean_reach
+
+    n = X_train.shape[0]
+    kdist = np.empty(n)
+    for start, dist in distance_rows(X_train, X_train):
+        for r in range(dist.shape[0]):
+            row = dist[r]
+            row[start + r] = np.inf  # a point is not its own neighbor
+            kdist[start + r] = np.partition(row, k - 1)[k - 1]
+    lrd = np.empty(n)
+    for start, dist in distance_rows(X_train, X_train):
+        for r in range(dist.shape[0]):
+            i = start + r
+            row = dist[r]
+            row[i] = np.inf
+            nb = np.flatnonzero(row <= kdist[i])
+            lrd[i] = lrd_of(np.maximum(kdist[nb], row[nb]))
+    scores = np.empty(X_probe.shape[0])
+    for start, dist in distance_rows(X_probe, X_train):
+        for r in range(dist.shape[0]):
+            row = dist[r]
+            nb = np.flatnonzero(row <= np.partition(row, k - 1)[k - 1])
+            lrd_probe = lrd_of(np.maximum(kdist[nb], row[nb]))
+            scores[start + r] = -float(np.mean(lrd[nb])) / lrd_probe
+    return kdist, lrd, scores
+
+
+@st.composite
+def _lof_cases(draw):
+    k = draw(st.integers(1, 23))
+    n = k + draw(st.integers(1, 40))
+    # d >= 8 sums the squared differences in numpy's pairwise order.
+    d = draw(st.integers(1, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(size=(n, d))
+    levels = draw(st.sampled_from([0, 1, 2, 3]))
+    if levels:  # a coarse grid: tied distances and duplicate rows
+        X = np.round(X * levels) / levels
+    duplicates = draw(st.booleans())
+    if duplicates:  # k + 3 copies of one row: kdist 0, and LRD_SENTINEL
+        X[: k + 3] = X[0]
+    # A large common offset: the Gram form cancels all but a few digits.
+    X += draw(st.sampled_from([0.0, 1e4]))
+    probes = np.vstack([X[rng.integers(0, n, size=4)], X[:1] + 1e-9, rng.uniform(size=(6, d)) + X.min()])
+    return k, X, probes, duplicates, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lof_cases())
+def test_lof_equals_row_by_row_reference_bit_for_bit(case):
+    k, X, probes, duplicates, small_blocks = case
+    with pytest.MonkeyPatch.context() as patch:
+        if small_blocks:  # many blocks, many recompute chunks, most rows filtered twice
+            patch.setattr(detectors, "_BLOCK_ELEMENTS", 3 * X.shape[0])
+            patch.setattr(detectors, "_KEPT_PAIRS", 2 * k)
+        det = fit(_config("lof", k_neighbors=k), X)
+        got = score(det, probes)
+    kdist, lrd, want = _lof_row_by_row(X, probes, k)
+    assert det.kdist.tobytes() == kdist.tobytes()
+    assert det.lrd.tobytes() == lrd.tobytes()
+    assert got.tobytes() == want.tobytes()
+    if duplicates:
+        assert (lrd == LRD_SENTINEL).any()
+
+
+def _count_filtered_rows(monkeypatch):
+    seen = []
+    blocks = detectors._neighbour_blocks
+
+    def counting(Q, *args, **kwargs):
+        seen.append(Q.shape[0])
+        return blocks(Q, *args, **kwargs)
+
+    monkeypatch.setattr(detectors, "_neighbour_blocks", counting)
+    return seen
+
+
+def test_lof_fit_filters_each_row_once(monkeypatch):
+    X = _cluster(4, n=300, d=5)
+    seen = _count_filtered_rows(monkeypatch)
+    det = fit(_config("lof", k_neighbors=7), X)
+    assert seen == [300]
+    assert det.lrd.tobytes() == _lof_row_by_row(X, X[:0], 7)[1].tobytes()
+
+
+def test_lof_fit_filters_again_only_the_rows_past_the_kept_pairs(monkeypatch):
+    X = np.zeros((40, 2))  # every pair ties: each row keeps 39 neighbours
+    monkeypatch.setattr(detectors, "_BLOCK_ELEMENTS", 10 * 40)
+    monkeypatch.setattr(detectors, "_KEPT_PAIRS", 20 * 39)
+    seen = _count_filtered_rows(monkeypatch)
+    det = fit(_config("lof", k_neighbors=3), X)
+    assert seen == [40, 20]
+    assert (det.lrd == LRD_SENTINEL).all()
+
+
+@pytest.mark.parametrize("case, blocks", [("nsl-width", 4), ("duplicate-rows", 11)])
+def test_lof_fit_and_score_memory_is_bounded(case, blocks):
+    if case == "nsl-width":
+        # NSL-KDD's encoded width: the Gram and selection blocks dominate.
+        X = np.random.default_rng(5).uniform(size=(20_000, 122))
+    else:
+        # Every pair ties, so every pair is a candidate: the recompute runs in
+        # chunks, and fit filters the rows past its kept pairs twice.
+        X = np.ones((2_000, 122))
+    tracemalloc.start()
+    try:
+        det = fit(_config("lof", k_neighbors=20), X)
+        score(det, X[:2_000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Beside the detector's copy of X, a few arrays of one block each; one
+    # (256 rows, m, 122) difference tensor alone would be 5 GB and 500 MB.
+    assert peak - X.nbytes < blocks * detectors._BLOCK_ELEMENTS * 8
 
 
 # ---------------------------------------------------------------------------
