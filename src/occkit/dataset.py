@@ -133,9 +133,9 @@ def load_schema(path: str | Path) -> Schema:
 class RawTable:
     """A CSV table after its one parse: one array per non-ignored column, by name.
 
-    Numeric columns are float64, `missing` marking their empty cells (a literal
-    "nan" stays a value); other columns are int64 codes into `texts`, their
-    sorted distinct non-empty cells, with -1 for an empty cell.
+    Numeric columns are float64, finite where a cell is given and NaN where
+    `missing` marks an empty cell; other columns are int64 codes into `texts`,
+    their sorted distinct non-empty cells, with -1 for an empty cell.
     """
 
     header: tuple[str, ...]
@@ -158,8 +158,17 @@ class RawTable:
         return RawTable(self.header, columns, missing, self.texts)
 
 
+# bytes and byte pairs that keep a file from numpy's reader (see `_read_plain`)
+_NOT_PLAIN = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\n\n", b"\n\r\n")
+
+
 def load_csv(path: str | Path, schema: Schema) -> RawTable:
     """Read an RFC-4180 CSV with a header row into a RawTable, the only read of its cells.
+
+    A plain file goes through numpy's C reader (see `_read_plain`); any other
+    file, or a plain one that reader turns down, goes through the csv module.
+    Both readers accept the same files, give the same table and raise the
+    same errors, as the csv module is the only one that raises.
 
     Raises:
         ValueError: if the header repeats a column or does not match the
@@ -169,6 +178,66 @@ def load_csv(path: str | Path, schema: Schema) -> RawTable:
             data row).
     """
     path = Path(path)
+    table = _read_plain(path, schema)
+    return table if table is not None else _read_with_csv(path, schema)
+
+
+def _read_plain(path: Path, schema: Schema) -> RawTable | None:
+    """The table as numpy's C reader reads it, or None where the csv module must read the file.
+
+    A plain file holds no '"', no NUL and no CR outside a CRLF. The csv module
+    splits such a file into cells at every comma and into rows at every LF or
+    CRLF, and so does `np.loadtxt`. None is returned for any other file and
+    wherever the two could part: a header that does not match the schema, no
+    data row, a blank line (numpy skips it, csv rejects it), a row of the
+    wrong width, a line longer than csv's field size limit, a byte 0x1C-0x1F
+    (numpy strips it from a number, `float` does not), or a numeric cell
+    numpy cannot parse (elsewhere its syntax is a subset of `float`'s) or
+    that is not finite.
+    """
+    data = path.read_bytes()
+    if any(byte in data for byte in _NOT_PLAIN) or data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    ends = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    n_rows = ends.size - 1 + (not data.endswith(b"\n"))
+    if n_rows < 1 or np.diff(ends, prepend=-1, append=len(data)).max() > csv.field_size_limit():
+        return None
+    try:
+        header = data[: ends[0]].decode("utf-8").removesuffix("\r").split(",")
+    except UnicodeDecodeError:
+        return None
+    kinds = dict(schema.columns)
+    if sorted(header) != sorted(kinds):
+        return None
+    # numbered fields, as a column name may be one numpy will not take
+    dtype = np.dtype({
+        "names": [f"f{j}" for j in range(len(header))],
+        "formats": [np.float64 if kinds[name] == "numeric" else object for name in header],
+    })
+    del data
+    try:
+        # every row's width is checked, as no usecols is given; max_rows sizes
+        # the result once
+        with open(path, encoding="utf-8") as fh:
+            rows = np.loadtxt(
+                fh, dtype, comments=None, delimiter=",", skiprows=1, max_rows=n_rows, ndmin=1
+            )
+    except ValueError:
+        return None
+    columns, missing, texts = {}, {}, {}
+    for j, name in enumerate(header):
+        if kinds[name] == "numeric":
+            columns[name] = np.ascontiguousarray(rows[f"f{j}"])
+            if not np.isfinite(columns[name]).all():
+                return None
+            missing[name] = np.zeros(len(rows), bool)
+        elif kinds[name] != "ignored":
+            columns[name], texts[name] = _code_texts(rows[f"f{j}"].tolist())
+    return RawTable(header=tuple(header), columns=columns, missing=missing, texts=texts)
+
+
+def _read_with_csv(path: Path, schema: Schema) -> RawTable:
+    """The table as the csv module reads it; the source of every error `load_csv` raises."""
     kinds = dict(schema.columns)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -201,10 +270,15 @@ def load_csv(path: str | Path, schema: Schema) -> RawTable:
         if kinds[name] == "numeric":
             columns[name], missing_cells[name] = _parse_numeric(cells, name)
         else:
-            texts[name] = tuple(sorted(set(cells) - {""}))
-            code = {"": -1} | {text: i for i, text in enumerate(texts[name])}
-            columns[name] = np.fromiter(map(code.__getitem__, cells), np.int64, len(cells))
+            columns[name], texts[name] = _code_texts(cells)
     return RawTable(header=tuple(header), columns=columns, missing=missing_cells, texts=texts)
+
+
+def _code_texts(cells: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """int64 codes into the sorted distinct non-empty cells, -1 for an empty cell, and those cells."""
+    texts = tuple(sorted(set(cells) - {""}))
+    code = {"": -1} | {text: i for i, text in enumerate(texts)}
+    return np.fromiter(map(code.__getitem__, cells), np.int64, len(cells)), texts
 
 
 def _parse_numeric(cells: list[str], column: str) -> tuple[np.ndarray, np.ndarray]:
@@ -328,8 +402,9 @@ def fit_preprocessor(table: RawTable, schema: Schema) -> PreprocessorState:
     """Fit imputation means, category vocabularies and max-min ranges.
 
     Means are computed over non-missing values only; categories are collected
-    in lexicographic order; min/max are taken over the imputed, one-hot
-    encoded matrix.
+    in lexicographic order; min/max are those of the imputed, one-hot encoded
+    matrix, read off each column without building it: a one-hot feature's
+    max is 1 and its min is 1 only when every row holds its category.
 
     Raises:
         ValueError: on an empty table, a fully-missing numeric column, or a
@@ -341,50 +416,51 @@ def fit_preprocessor(table: RawTable, schema: Schema) -> PreprocessorState:
         raise ValueError("schema has no numeric or categorical feature columns")
     means: dict[str, float] = {}
     cats: dict[str, tuple[str, ...]] = {}
-    X, names = _encode(table, schema, means, cats)
-    minmax = {
-        feat: (float(X[:, j].min()), float(X[:, j].max())) for j, feat in enumerate(names)
-    }
+    names = _feature_names(table, schema, means, cats)
+    minmax: dict[str, tuple[float, float]] = {}
+    for name, kind in schema.feature_columns:
+        column = table.columns[name]
+        if kind == "numeric":
+            imputed = np.where(table.missing[name], means[name], column)
+            if len(names) > 1:
+                # as a column of the encoded matrix, a strided view: numpy's
+                # contiguous min/max may pick the other sign of a zero extreme
+                imputed = np.stack((imputed, imputed), axis=1)[:, 0]
+            minmax[name] = (float(imputed.min()), float(imputed.max()))
+        else:
+            counts = np.bincount(column + 1, minlength=len(table.texts[name]) + 1)[1:]
+            for code in np.flatnonzero(counts):
+                minmax[f"{name}={table.texts[name][code]}"] = (float(counts[code] == column.size), 1.0)
     return PreprocessorState(imputation_means=means, category_maps=cats, minmax=minmax)
 
 
-def _encode(
+def _feature_names(
     table: RawTable,
     schema: Schema,
     means: dict[str, float],
     cats: dict[str, tuple[str, ...]],
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Imputed, one-hot encoded (but unscaled) matrix plus output feature names.
+) -> tuple[str, ...]:
+    """Output feature names of the encoded table.
 
     A feature column with no entry in means / cats is fitted on this table and
     the entry added.
     """
-    blocks: list[np.ndarray] = []
     names: list[str] = []
     for name, kind in schema.feature_columns:
         column = table.columns[name]
         if kind == "numeric":
-            missing = table.missing[name]
             if name not in means:
-                present = column[~missing]
+                present = column[~table.missing[name]]
                 if not present.size:
                     raise ValueError(f"numeric column {name!r} is entirely missing, cannot impute")
                 means[name] = math.fsum(present.tolist()) / present.size
-            block = np.where(missing, means[name], column)[:, None]
             names.append(name)
         else:
-            texts = table.texts[name]
             if name not in cats:
+                texts = table.texts[name]
                 cats[name] = tuple(texts[code] for code in np.unique(column[column >= 0]))
-            vocab = cats[name]
-            index = {v: j for j, v in enumerate(vocab)}
-            # an unseen or missing (code -1, the trailing slot) category stays all-zero
-            slots = np.array([index.get(text, -1) for text in texts] + [-1], dtype=np.int64)
-            block = (slots[column][:, None] == np.arange(len(vocab))).astype(np.float64)
-            names.extend(f"{name}={v}" for v in vocab)
-        blocks.append(block)
-    X = np.hstack(blocks) if blocks else np.zeros((table.row_count, 0))
-    return X, tuple(names)
+            names.extend(f"{name}={v}" for v in cats[name])
+    return tuple(names)
 
 
 def extract_labels(table: RawTable, schema: Schema) -> tuple[np.ndarray, np.ndarray]:
@@ -431,17 +507,30 @@ def apply_preprocessor(state: PreprocessorState, table: RawTable, schema: Schema
     """
     # copies, so a column the state lacks is fitted here and rejected below
     means, cats = dict(state.imputation_means), dict(state.category_maps)
-    X, names = _encode(table, schema, means, cats)
+    names = _feature_names(table, schema, means, cats)
     if names != state.feature_names:
         raise ValueError("table columns do not match the schema/state used at fit time")
+    X = np.zeros((table.row_count, len(names)))
+    j = 0
+    for name, kind in schema.feature_columns:
+        column = table.columns[name]
+        if kind == "numeric":
+            X[:, j] = np.where(table.missing[name], means[name], column)
+            j += 1
+        else:
+            index = {v: k for k, v in enumerate(cats[name])}
+            # an unseen or missing (code -1, the trailing slot) category stays all-zero
+            slots = np.array([index.get(text, -1) for text in table.texts[name]] + [-1])[column]
+            rows = np.flatnonzero(slots >= 0)
+            X[rows, j + slots[rows]] = 1.0
+            j += len(cats[name])
     lo = np.array([state.minmax[f][0] for f in names], dtype=np.float64)
     hi = np.array([state.minmax[f][1] for f in names], dtype=np.float64)
     span = hi - lo
     constant = span == 0
-    span = np.where(constant, 1.0, span)
-    X = (X - lo) / span
-    if constant.any():
-        X[:, constant] = 0.0
+    X -= lo
+    X /= np.where(constant, 1.0, span)
+    X[:, constant] = 0.0
     y, tags = extract_labels(table, schema)
     return Dataset(X=X, y=y, attack_type=tags, feature_names=names)
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from occkit import dataset
 from occkit.dataset import (
     Dataset,
     Schema,
@@ -89,6 +90,51 @@ def test_load_csv_missing_schema_column(tmp_path):
     path = _write(tmp_path, "a.csv", "duration,label,attack_cat\n1,normal,\n")
     with pytest.raises(ValueError, match="proto"):
         load_csv(path, SCHEMA)
+
+
+TRAILING_IGNORED = Schema(columns=SCHEMA.columns + (("difficulty", "ignored"),))
+_HEAD = "duration,proto,label,attack_cat,difficulty"
+
+
+def _outcome(read, path):
+    """A table as comparable bytes and texts, or the message it raised."""
+    try:
+        table = read(path, TRAILING_IGNORED)
+    except ValueError as exc:
+        return "error", str(exc)
+    return (
+        table.header,
+        {name: (col.dtype.str, col.tobytes()) for name, col in table.columns.items()},
+        {name: mask.tobytes() for name, mask in table.missing.items()},
+        table.texts,
+    )
+
+
+@pytest.mark.parametrize(
+    "body, plain",
+    [
+        pytest.param(f"{_HEAD}\n1.5,tcp,normal,,3\n2,udp,attack,dos,7\n", True, id="plain"),
+        pytest.param(f"{_HEAD}\r\n1.5,tcp,normal,,3\r\n2,udp,attack,dos,7\r\n", True, id="crlf"),
+        pytest.param(f"{_HEAD}\n1.5,tcp,normal,,3\n2,udp,attack,dos,7", True, id="no-final-newline"),
+        pytest.param(f'{_HEAD}\n1.5,"tcp,x",normal,,3\n2,udp,attack,dos,7\n', False, id="quoted-comma"),
+        pytest.param(f"{_HEAD}\n1.5,tcp,normal,,3\r2,udp,attack,dos,7\n", False, id="lone-cr"),
+        pytest.param(f"{_HEAD}\n1.5,tcp,normal,,3\n\n2,udp,attack,dos,7\n", False, id="blank-line"),
+        pytest.param(f"{_HEAD}\n1.5,tcp,normal,,3\n \n2,udp,attack,dos,7\n", False, id="whitespace-line"),
+        pytest.param(f"{_HEAD}\n1.5,tcp,normal,,3\n2,udp,attack,dos\n", False, id="row-one-short"),
+        pytest.param(f"{_HEAD}\n1.5,tcp,normal,,3,4\n2,udp,attack,dos,7\n", False, id="row-one-long"),
+        pytest.param(f"{_HEAD}\n", False, id="header-only"),
+        pytest.param(f"{_HEAD}\n,tcp,normal,,3\n2,udp,attack,dos,7\n", False, id="empty-numeric"),
+        pytest.param(f"{_HEAD}\n1_0,tcp,normal,,3\n2,udp,attack,dos,7\n", False, id="float-only-syntax"),
+        pytest.param(f"{_HEAD}\nnan,tcp,normal,,3\n2,udp,attack,dos,7\n", False, id="non-finite"),
+        pytest.param(f"{_HEAD}\n1\x1c,tcp,normal,,3\n2,udp,attack,dos,7\n", False, id="numpy-only-space"),
+        pytest.param(f"{_HEAD},x\n1.5,tcp,normal,,3,4\n", False, id="unknown-column"),
+    ],
+)
+def test_load_csv_is_the_same_whichever_reader_runs(tmp_path, body, plain):
+    path = tmp_path / "a.csv"
+    path.write_bytes(body.encode("utf-8"))
+    assert _outcome(load_csv, path) == _outcome(dataset._read_with_csv, path)
+    assert (dataset._read_plain(path, TRAILING_IGNORED) is not None) == plain
 
 
 def test_schema_validation():
