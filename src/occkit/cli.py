@@ -35,6 +35,7 @@ import numpy as np
 
 from . import __version__
 from .calibration import calibrate_threshold, classify
+from .cells import map_cells
 from .dataset import (
     DEMO_N_ATTACK,
     DEMO_N_NORMAL,
@@ -404,27 +405,13 @@ def _occ_predict(cfg: DetectorConfig, normals: np.ndarray, X: np.ndarray) -> np.
 
 
 def _occ_cell(
-    config: ExperimentConfig, source: _DataSource, cell: tuple[int, str]
+    config: ExperimentConfig, source: _DataSource, cell: tuple[int, str, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One (run, detector) cell: the run's test labels and the detector's predictions on them."""
-    run, name = cell
+    """One (run, detector, seed) cell: the run's test labels and the detector's predictions on them."""
+    run, name, seed = cell
     normals, test = source.split_for_run(config.split, run)
-    cfg = dataclasses.replace(config.detectors[name], seed=derive_seed(config.seed, "detector", name, run))
+    cfg = dataclasses.replace(config.detectors[name], seed=seed)
     return test.y, _occ_predict(cfg, normals.X, test.X)
-
-
-# The (config, source) a worker process was forked with. Only the pool's
-# initializer sets it, in the worker; the process running the experiment never does.
-_worker_context: tuple = ()
-
-
-def _enter_worker(config: ExperimentConfig, source: _DataSource) -> None:
-    global _worker_context
-    _worker_context = (config, source)
-
-
-def _worker_cell(cell: tuple[int, str]) -> tuple[np.ndarray, np.ndarray]:
-    return _occ_cell(*_worker_context, cell)
 
 
 def _occ_rows_for_run(
@@ -500,37 +487,16 @@ def cmd_occ_eval(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> R
     experiment with a diagnostic naming its run; rows from the runs before
     it are preserved in per_run.partial.csv.
     """
-    if workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {workers}")
-    if workers > 1:
-        # Imported here only: `import occkit.cli` stays light for every other use.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise ConfigError(f"--workers {workers} needs the 'fork' start method; this platform has none")
     runs = range(config.split.n_runs)
-    cells = [(run, name) for run in runs for name in config.detectors]
-    workers = min(workers, len(cells))
+    cells = [
+        (run, name, derive_seed(config.seed, "detector", name, run)) for run in runs for name in config.detectors
+    ]
     source = _DataSource(config)
     run_dir = _run_dir(config, out_dir)
     per_run: list[list[dict]] = []
     try:
-        with contextlib.ExitStack() as stack:
-            if workers > 1:
-                # Fork, not spawn: the workers inherit (config, source) and the
-                # loaded data copy-on-write, so only (run, name) is sent to a
-                # worker and only (test labels, predictions) come back. The
-                # pool forks them all before it starts its own thread.
-                pool = stack.enter_context(ProcessPoolExecutor(
-                    workers,
-                    mp_context=multiprocessing.get_context("fork"),
-                    initializer=_enter_worker,
-                    initargs=(config, source),
-                ))
-                outcomes = pool.map(_worker_cell, cells)
-            else:
-                outcomes = map(functools.partial(_occ_cell, config, source), cells)
+        outcomes = map_cells(functools.partial(_occ_cell, config, source), cells, workers)
+        with contextlib.closing(outcomes):  # a failure while building rows shuts the pool down too
             for run in runs:
                 preds_by_name = {}
                 for name in config.detectors:
@@ -565,9 +531,10 @@ def _aggregate_omission_rows(rows: list[dict]) -> dict:
 
 
 def cmd_omission(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> Report:
-    """Run the omission grid plus the one-class pipeline on identical folds."""
-    if workers != 1:
-        raise ConfigError(f"omission runs its grid serially; --workers must be 1, got {workers}")
+    """Run the omission grid plus the one-class pipeline on identical folds.
+
+    Both use up to `workers` forked processes; the output does not depend on `workers`.
+    """
     source = _DataSource(config)
     data = source.dataset
     tags = config.omission["attack_types"]
@@ -584,7 +551,7 @@ def cmd_omission(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> R
         combination_cap=config.omission["combination_cap"],
     )
     rf_config = ForestConfig(**config.omission["rf"])
-    result = run_omission_experiment(data, plan, rf_config)
+    result = run_omission_experiment(data, plan, rf_config, workers=workers)
     rows = [
         {
             "k": cell.k,
@@ -603,14 +570,9 @@ def cmd_omission(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> R
     occ_name = config.omission["occ_detector"] or (
         "stochastic-forest" if "stochastic-forest" in config.detectors else next(iter(config.detectors))
     )
-    base_cfg = config.detectors[occ_name]
-    occ_metrics = []
-    for run in range(plan.n_runs):
-        train, test = stratified_split(data, SplitPlan(plan.ratio, plan.n_runs, plan.base_seed), run)
-        normals = filter_normal(train)
-        cfg = dataclasses.replace(base_cfg, seed=derive_seed(config.seed, "occ", run))
-        preds = _occ_predict(cfg, normals.X, test.X)
-        occ_metrics.append(metric_row(confusion(test.y, preds)))
+    cells = [(run, occ_name, derive_seed(config.seed, "occ", run)) for run in range(plan.n_runs)]
+    outcomes = map_cells(functools.partial(_occ_cell, config, source), cells, workers)
+    occ_metrics = [metric_row(confusion(y_test, preds)) for y_test, preds in outcomes]
     rows += [{**r, "arm": "occ", **occ_metrics[r["run"]]} for r in rows if r["arm"] == "plain"]
 
     rows.sort(key=lambda r: (r["k"], r["combination_id"], r["run"], _ARM_ORDER[r["arm"]]))
@@ -740,17 +702,13 @@ def cmd_report(run_dir: Path) -> Report:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="occkit", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    workers_help = {
-        "occ-eval": "worker processes for the independent (run, detector) cells (needs fork)",
-        "omission": "must be 1: the omission grid runs serially",
-    }
     for name in ("occ-eval", "omission", "demo"):
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="experiment config JSON")
         p.add_argument("--out", type=Path, required=True, help="output directory root")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if name in workers_help:
-            p.add_argument("--workers", type=int, default=1, help=workers_help[name])
+        if name != "demo":
+            p.add_argument("--workers", type=int, default=1, help="worker processes for the cells (needs fork)")
     p = sub.add_parser("report")
     p.add_argument("--run-dir", type=Path, required=True, help="run directory to audit")
     return parser
@@ -768,6 +726,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"demo artifacts written to {run_dir}")
         else:
             config = load_config(args.config, experiment=args.command, seed_override=args.seed)
+            if args.workers < 1:
+                raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+            if args.workers > 1:
+                # Imported here only: a serial run never loads multiprocessing.
+                import multiprocessing
+
+                if "fork" not in multiprocessing.get_all_start_methods():
+                    raise ConfigError(f"--workers {args.workers} needs the 'fork' start method; this platform has none")
             runner = cmd_occ_eval if args.command == "occ-eval" else cmd_omission
             report = runner(config, args.out, workers=args.workers)
             print(_render_blocks(report))

@@ -1,4 +1,4 @@
-"""Confusion-matrix metrics on the percent scale, plus multi-run aggregation.
+"""Confusion-matrix metrics on the percent scale, plus their mean and spread over runs.
 
 The attack class (label 1) is the positive class everywhere. Metrics for the
 normal class are obtained by swapping the positive-class convention, see
@@ -16,16 +16,12 @@ import numpy as np
 __all__ = [
     "ConfusionCounts",
     "ClassMetrics",
-    "RunSummary",
     "confusion",
     "class_metrics",
     "macro_f1",
     "metric_row",
     "mean_std",
-    "aggregate_runs",
 ]
-
-METRIC_NAMES = ("accuracy", "precision", "recall", "f1")
 
 
 @dataclass(frozen=True)
@@ -60,18 +56,6 @@ class ClassMetrics:
     precision: float
     recall: float
     f1: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    """Per-metric mean and population standard deviation over runs."""
-
-    mean: ClassMetrics
-    std: ClassMetrics
-    run_count: int
 
 
 def confusion(y_true: Sequence[int], y_pred: Sequence[int]) -> ConfusionCounts:
@@ -134,11 +118,3 @@ def mean_std(values: Sequence[float]) -> tuple[float, float]:
     mu = math.fsum(values) / len(values)
     var = math.fsum((v - mu) ** 2 for v in values) / len(values)
     return mu, math.sqrt(var)
-
-
-def aggregate_runs(per_run: Sequence[ClassMetrics]) -> RunSummary:
-    """Arithmetic mean and population standard deviation of each metric over runs."""
-    if len(per_run) == 0:
-        raise ValueError("need at least one run to aggregate")
-    means, stds = zip(*(mean_std([getattr(m, name) for m in per_run]) for name in METRIC_NAMES))
-    return RunSummary(mean=ClassMetrics(*means), std=ClassMetrics(*stds), run_count=len(per_run))

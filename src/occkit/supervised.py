@@ -9,6 +9,7 @@ attack type.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .cells import map_cells
 from .dataset import (
     Dataset,
     SplitPlan,
@@ -172,7 +174,7 @@ def aggregate_per_k(rows: Sequence[Mapping]) -> dict[tuple[int, str], dict[str, 
 
 
 def run_omission_experiment(
-    data: Dataset, plan: OmissionPlan, rf_config: ForestConfig = ForestConfig()
+    data: Dataset, plan: OmissionPlan, rf_config: ForestConfig = ForestConfig(), workers: int = 1
 ) -> OmissionResult:
     """Evaluate the forest over the full (k, combination, run, arm) grid.
 
@@ -180,38 +182,45 @@ def run_omission_experiment(
     across combinations; omission removes rows from the training fold only.
     A training fold left with a single class (every attack omitted, plain
     arm) is scored through a constant all-normal predictor, which is what an
-    attack-blind supervised model degenerates to.
+    attack-blind supervised model degenerates to. The cells run on up to
+    `workers` forked processes; the result does not depend on `workers`.
     """
     present = set(data.attack_tags())
     for tag in plan.attack_types:
         if tag not in present:
             raise ValueError(f"attack type {tag!r} not present in data")
     split_plan = SplitPlan(ratio=plan.ratio, n_runs=plan.n_runs, base_seed=plan.base_seed)
-    ks = [0] + sorted(set(plan.k_values))
+    combos = [
+        (k, combo_id, combo)
+        for k in [0] + sorted(set(plan.k_values))
+        for combo_id, combo in enumerate(_capped_combinations(plan, k))
+    ]
     arms = ["plain", "noise"] if plan.with_noise else ["plain"]
-    cells: list[OmissionCell] = []
-    for run in range(plan.n_runs):
-        train, test = stratified_split(data, split_plan, run)
-        noise_seed = derive_seed(plan.base_seed, "noise", run)
-        for k in ks:
-            for combo_id, combo in enumerate(_capped_combinations(plan, k)):
-                reduced = omit_attack_types(train, combo)
-                for arm in arms:
-                    fit_data = reduced if arm == "plain" else augment_with_noise(reduced, noise_seed)
-                    if len(np.unique(fit_data.y)) < 2:
-                        preds = np.zeros(test.n_rows, dtype=np.int64)
-                    else:
-                        seed = derive_seed(plan.base_seed, "rf", k, combo_id, run, arm)
-                        model = rf_fit(fit_data.X, fit_data.y, rf_config, seed=seed)
-                        preds = rf_predict(model, test.X)
-                    cells.append(
-                        OmissionCell(
-                            k=k,
-                            combination_id=combo_id,
-                            combination=combo,
-                            run=run,
-                            arm=arm,
-                            **_evaluate_predictions(test, preds, combo),
-                        )
-                    )
-    return OmissionResult(cells=tuple(cells), per_k=aggregate_per_k([vars(c) for c in cells]))
+
+    @functools.lru_cache(maxsize=1)  # cells come run by run: a process splits each run once
+    def folds(run: int) -> tuple[Dataset, Dataset]:
+        return stratified_split(data, split_plan, run)
+
+    def cell(key: tuple[int, tuple[int, int, tuple[str, ...]], str]) -> OmissionCell:
+        run, (k, combo_id, combo), arm = key
+        train, test = folds(run)
+        fit_data = omit_attack_types(train, combo)
+        if arm == "noise":
+            fit_data = augment_with_noise(fit_data, derive_seed(plan.base_seed, "noise", run))
+        if len(np.unique(fit_data.y)) < 2:
+            preds = np.zeros(test.n_rows, dtype=np.int64)
+        else:
+            seed = derive_seed(plan.base_seed, "rf", k, combo_id, run, arm)
+            model = rf_fit(fit_data.X, fit_data.y, rf_config, seed=seed)
+            preds = rf_predict(model, test.X)
+        return OmissionCell(
+            k=k,
+            combination_id=combo_id,
+            combination=combo,
+            run=run,
+            arm=arm,
+            **_evaluate_predictions(test, preds, combo),
+        )
+
+    cells = tuple(map_cells(cell, list(itertools.product(range(plan.n_runs), combos, arms)), workers))
+    return OmissionResult(cells=cells, per_k=aggregate_per_k([vars(c) for c in cells]))

@@ -526,6 +526,25 @@ def test_failed_cell_in_a_worker_process_preserves_completed_rows(tmp_path, monk
     assert not (run_dir / "per_run.csv").exists()
 
 
+def test_failed_grid_cell_in_a_worker_process_ends_omission_with_a_data_error(tmp_path, monkeypatch, capsys):
+    import occkit.supervised as supervised_mod
+
+    def failing_fit(X, y, config, seed):
+        raise ValueError(f"synthetic failure in process {os.getpid()}")
+
+    monkeypatch.setattr(supervised_mod, "rf_fit", failing_fit)
+    config_path = _occ_config(
+        tmp_path,
+        detectors={"stochastic-forest": SMALL_DETECTORS["stochastic-forest"]},
+        omission={"k_values": [1], "with_noise": True, "rf": {"n_trees": 3}},
+    )
+    out = tmp_path / "out"
+    assert main(["omission", "--config", str(config_path), "--out", str(out), "--workers", "2"]) == 3
+    pid = re.search(r"synthetic failure in process (\d+)", capsys.readouterr().err).group(1)
+    assert int(pid) != os.getpid()
+    assert not list(out.glob("omission/*/per_run.csv"))
+
+
 def test_config_rejects_a_repeated_omission_attack_type(tmp_path):
     config_path = _occ_config(tmp_path, omission={"attack_types": ["a1", "a1"]})
     with pytest.raises(ConfigError, match="repeats a type"):

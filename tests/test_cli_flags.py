@@ -6,18 +6,18 @@ import multiprocessing
 
 import pytest
 
-import occkit.cli as cli
+import occkit.cells as cells
 from occkit.cli import main
 
 
-def _omission_config(tmp_path):
-    path = tmp_path / "omission.json"
+def _omission_config(tmp_path, n_runs=1):
+    path = tmp_path / f"omission-{n_runs}.json"
     path.write_text(
         json.dumps(
             {
                 "seed": 3,
                 "dataset": {"demo": {"n_normal": 60, "n_attack": 20}},
-                "split": {"n_runs": 1},
+                "split": {"n_runs": n_runs},
                 "detectors": {"stochastic-forest": {"variant": "stochastic-forest", "n_trees": 5}},
                 "omission": {"k_values": [1], "with_noise": False, "rf": {"n_trees": 3}},
             }
@@ -38,29 +38,14 @@ def test_demo_rejects_workers(tmp_path):
     assert not (tmp_path / "demo").exists()
 
 
-def test_omission_rejects_more_than_one_worker(tmp_path, capsys):
-    out = tmp_path / "out"
-    argv = ["omission", "--config", str(_omission_config(tmp_path)), "--out", str(out)]
-    assert main(argv + ["--workers", "2"]) == 2
-    assert "--workers must be 1" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(argv + ["--workers", "1"]) == 0
-
-
-def test_omission_help_says_workers_must_be_one(capsys):
-    assert _argparse_exit_code(["omission", "--help"]) == 0
-    assert "--workers WORKERS must be 1" in " ".join(capsys.readouterr().out.split())
-
-
-@pytest.mark.parametrize("workers", [0, -1])
-def test_occ_eval_rejects_workers_below_one(workers, tmp_path, capsys):
-    config = tmp_path / "occ.json"
-    config.write_text(json.dumps({"seed": 3, "split": {"n_runs": 1}}))
-    out = tmp_path / "out"
-    argv = ["occ-eval", "--config", str(config), "--out", str(out), "--workers", str(workers)]
-    assert main(argv) == 2
-    assert "--workers must be at least 1" in capsys.readouterr().err
-    assert not out.exists()
+def test_omission_worker_count_does_not_change_output(tmp_path):
+    # Three runs, so with two workers each worker takes grid and one-class cells.
+    argv = ["omission", "--config", str(_omission_config(tmp_path, n_runs=3))]
+    outs = [tmp_path / "w1", tmp_path / "w2"]
+    for out, workers in zip(outs, ("1", "2")):
+        assert main(argv + ["--out", str(out), "--workers", workers]) == 0
+    blobs = [next(out.glob("omission/*/per_run.csv")).read_bytes() for out in outs]
+    assert blobs[0] == blobs[1]
 
 
 def _occ_eval_config(tmp_path, n_runs, detectors):
@@ -70,11 +55,27 @@ def _occ_eval_config(tmp_path, n_runs, detectors):
     return path
 
 
-def test_occ_eval_workers_need_fork(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    config = _occ_eval_config(tmp_path, 2, ["isolation-forest"])
+def _config_for(command, tmp_path):
+    if command == "omission":
+        return _omission_config(tmp_path, n_runs=2)
+    return _occ_eval_config(tmp_path, 2, ["isolation-forest"])
+
+
+@pytest.mark.parametrize("command", ["occ-eval", "omission"])
+@pytest.mark.parametrize("workers", [0, -1])
+def test_rejects_workers_below_one(command, workers, tmp_path, capsys):
     out = tmp_path / "out"
-    argv = ["occ-eval", "--config", str(config), "--out", str(out)]
+    argv = [command, "--config", str(_config_for(command, tmp_path)), "--out", str(out)]
+    assert main(argv + ["--workers", str(workers)]) == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["occ-eval", "omission"])
+def test_workers_need_fork(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    out = tmp_path / "out"
+    argv = [command, "--config", str(_config_for(command, tmp_path)), "--out", str(out)]
     assert main(argv + ["--workers", "2"]) == 2
     assert "needs the 'fork' start method" in capsys.readouterr().err
     assert not out.exists()
@@ -111,13 +112,33 @@ class _InlinePool:
 def test_occ_eval_forks_no_more_workers_than_cells(n_runs, detectors, sizes, tmp_path, monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(cli, "_worker_context", ())
+    monkeypatch.setattr(cells, "_worker_fn", None)
     config = _occ_eval_config(tmp_path, n_runs, detectors)
     outs = [tmp_path / "w8", tmp_path / "w1"]
     for out, workers in zip(outs, ("8", "1")):
         assert main(["occ-eval", "--config", str(config), "--out", str(out), "--workers", workers]) == 0
     assert _InlinePool.sizes == sizes
     blobs = [next(out.glob("occ-eval/*/per_run.csv")).read_bytes() for out in outs]
+    assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize(
+    ("n_runs", "sizes"),
+    [
+        (1, [(3, "fork")]),  # 3 grid cells (k=0, then k=1 for a1 and a2), 1 one-class cell: no pool
+        (2, [(6, "fork"), (2, "fork")]),  # 6 grid cells, 2 one-class cells
+    ],
+)
+def test_omission_forks_no_more_workers_than_cells(n_runs, sizes, tmp_path, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(cells, "_worker_fn", None)
+    config = _omission_config(tmp_path, n_runs)
+    outs = [tmp_path / "w8", tmp_path / "w1"]
+    for out, workers in zip(outs, ("8", "1")):
+        assert main(["omission", "--config", str(config), "--out", str(out), "--workers", workers]) == 0
+    assert _InlinePool.sizes == sizes
+    blobs = [next(out.glob("omission/*/per_run.csv")).read_bytes() for out in outs]
     assert blobs[0] == blobs[1]
 
 

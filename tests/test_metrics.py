@@ -6,7 +6,6 @@ import pytest
 from occkit.metrics import (
     ClassMetrics,
     ConfusionCounts,
-    aggregate_runs,
     class_metrics,
     confusion,
     macro_f1,
@@ -144,37 +143,3 @@ def test_macro_f1_against_label_swap_oracle():
 
         want = (frac_f1(y_true, y_pred) + frac_f1(1 - y_true, 1 - y_pred)) / 2
         assert got == pytest.approx(want, abs=1e-9)
-
-
-def test_aggregate_runs_examples():
-    runs = [
-        ClassMetrics(accuracy=80, precision=1, recall=2, f1=3),
-        ClassMetrics(accuracy=90, precision=1, recall=2, f1=3),
-    ]
-    summary = aggregate_runs(runs)
-    assert summary.mean.accuracy == 85
-    assert summary.std.accuracy == 5
-    assert summary.run_count == 2
-
-    single = aggregate_runs(runs[:1])
-    assert single.std.accuracy == 0
-
-    ten = aggregate_runs([runs[0]] * 10)
-    assert ten.mean.accuracy == 80
-    assert ten.std.accuracy == 0
-
-
-def test_aggregate_runs_mean_within_range():
-    rng = np.random.default_rng(9)
-    runs = [
-        ClassMetrics(*(float(v) for v in rng.uniform(0, 100, size=4))) for _ in range(12)
-    ]
-    summary = aggregate_runs(runs)
-    for name in ("accuracy", "precision", "recall", "f1"):
-        values = [getattr(m, name) for m in runs]
-        assert min(values) <= getattr(summary.mean, name) <= max(values)
-
-
-def test_aggregate_runs_empty():
-    with pytest.raises(ValueError):
-        aggregate_runs([])
