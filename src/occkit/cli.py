@@ -4,8 +4,9 @@ Subcommands:
     occ-eval   train each configured detector on the normal rows of every
                split, calibrate the three-sigma threshold, classify the test
                fold and evaluate all consensus levels
-    omission   the attack-omission grid (plain and noise arms) side by side
-               with the one-class pipeline on identical folds
+    omission   the attack-omission grid: the forest, the forest with uniform
+               noise and the one-class pipeline as three arms on identical
+               folds
     demo       the two-feature synthetic walkthrough, emitting point-level
                predictions for external plotting
     report     recompute aggregates from the persisted per-run CSV and check
@@ -405,11 +406,12 @@ def _occ_predict(cfg: DetectorConfig, normals: np.ndarray, X: np.ndarray) -> np.
 
 
 def _occ_cell(
-    config: ExperimentConfig, source: _DataSource, cell: tuple[int, str, int]
+    config: ExperimentConfig, source: _DataSource, cell: tuple[int, str]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One (run, detector, seed) cell: the run's test labels and the detector's predictions on them."""
-    run, name, seed = cell
+    """One (run, detector) cell: the run's test labels and the detector's predictions on them."""
+    run, name = cell
     normals, test = source.split_for_run(config.split, run)
+    seed = derive_seed(config.seed, "detector", name, run)
     cfg = dataclasses.replace(config.detectors[name], seed=seed)
     return test.y, _occ_predict(cfg, normals.X, test.X)
 
@@ -488,9 +490,7 @@ def cmd_occ_eval(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> R
     it are preserved in per_run.partial.csv.
     """
     runs = range(config.split.n_runs)
-    cells = [
-        (run, name, derive_seed(config.seed, "detector", name, run)) for run in runs for name in config.detectors
-    ]
+    cells = [(run, name) for run in runs for name in config.detectors]
     source = _DataSource(config)
     run_dir = _run_dir(config, out_dir)
     per_run: list[list[dict]] = []
@@ -531,12 +531,11 @@ def _aggregate_omission_rows(rows: list[dict]) -> dict:
 
 
 def cmd_omission(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> Report:
-    """Run the omission grid plus the one-class pipeline on identical folds.
+    """Run the omission grid with its plain, noise and one-class arms on identical folds.
 
-    Both use up to `workers` forked processes; the output does not depend on `workers`.
+    The grid's cells use up to `workers` forked processes; the output does not depend on `workers`.
     """
-    source = _DataSource(config)
-    data = source.dataset
+    data = _DataSource(config).dataset
     tags = config.omission["attack_types"]
     tags = data.attack_tags() if tags is None else tags
     if not tags:
@@ -545,36 +544,21 @@ def cmd_omission(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> R
         attack_types=tuple(tags),
         k_values=tuple(config.omission["k_values"]),
         with_noise=config.omission["with_noise"],
-        n_runs=config.split.n_runs,
-        ratio=config.split.ratio,
-        base_seed=config.split.base_seed,
+        split=config.split,
         combination_cap=config.omission["combination_cap"],
     )
-    rf_config = ForestConfig(**config.omission["rf"])
-    result = run_omission_experiment(data, plan, rf_config, workers=workers)
-    rows = [
-        {
-            "k": cell.k,
-            "combination_id": cell.combination_id,
-            "combination_tags": "|".join(cell.combination),
-            "run": cell.run,
-            "arm": cell.arm,
-            **{m: cell.metric(m) for m in OMISSION_METRICS},
-        }
-        for cell in result.cells
-    ]
-
-    # One-class rows on the same folds: training normals never change under
-    # omission, so the per-run model is fitted once and evaluated everywhere,
-    # giving one "occ" row beside every plain-arm grid cell.
     occ_name = config.omission["occ_detector"] or (
         "stochastic-forest" if "stochastic-forest" in config.detectors else next(iter(config.detectors))
     )
-    cells = [(run, occ_name, derive_seed(config.seed, "occ", run)) for run in range(plan.n_runs)]
-    outcomes = map_cells(functools.partial(_occ_cell, config, source), cells, workers)
-    occ_metrics = [metric_row(confusion(y_test, preds)) for y_test, preds in outcomes]
-    rows += [{**r, "arm": "occ", **occ_metrics[r["run"]]} for r in rows if r["arm"] == "plain"]
 
+    def occ(run: int, train: Dataset, test: Dataset) -> np.ndarray:
+        """The one-class arm: the `occ` detector, fitted on the run's training normals."""
+        cfg = dataclasses.replace(config.detectors[occ_name], seed=derive_seed(config.seed, "occ", run))
+        return _occ_predict(cfg, filter_normal(train).X, test.X)
+
+    rf_config = ForestConfig(**config.omission["rf"])
+    result = run_omission_experiment(data, plan, rf_config, workers=workers, occ=occ)
+    rows = [{**vars(cell), "combination_tags": "|".join(cell.combination)} for cell in result.cells]
     rows.sort(key=lambda r: (r["k"], r["combination_id"], r["run"], _ARM_ORDER[r["arm"]]))
     run_dir = _run_dir(config, out_dir)
     _write_rows(run_dir / "per_run.csv", OMISSION_CSV_COLUMNS, rows)
@@ -702,13 +686,15 @@ def cmd_report(run_dir: Path) -> Report:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="occkit", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("occ-eval", "omission", "demo"):
+    for name in ("occ-eval", "omission"):
         p = sub.add_parser(name)
         p.add_argument("--config", type=Path, default=None, help="experiment config JSON")
         p.add_argument("--out", type=Path, required=True, help="output directory root")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        if name != "demo":
-            p.add_argument("--workers", type=int, default=1, help="worker processes for the cells (needs fork)")
+        p.add_argument("--workers", type=int, default=1, help="worker processes for the cells (needs fork)")
+    p = sub.add_parser("demo")
+    p.add_argument("--out", type=Path, required=True, help="output directory root")
+    p.add_argument("--seed", type=int, required=True, help="seed of the clusters and every model")
     p = sub.add_parser("report")
     p.add_argument("--run-dir", type=Path, required=True, help="run directory to audit")
     return parser
@@ -721,8 +707,7 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_report(args.run_dir)
             print(_render_blocks(report))
         elif args.command == "demo":
-            config = load_config(args.config, experiment="demo", seed_override=args.seed)
-            run_dir = cmd_demo(config.seed, args.out)
+            run_dir = cmd_demo(args.seed, args.out)
             print(f"demo artifacts written to {run_dir}")
         else:
             config = load_config(args.config, experiment=args.command, seed_override=args.seed)

@@ -2,9 +2,10 @@
 
 The forest itself (config, model, fit, predict) lives in `occkit.forest` and
 is re-exported here. The omission driver removes every size-k combination of
-attack types from the training folds, optionally adds a uniform-noise arm
-labeled as attack, and evaluates against test folds that always retain every
-attack type.
+attack types from the training folds and evaluates up to three arms against
+test folds that always retain every attack type: the forest ("plain"), the
+forest with uniform noise labeled as attack ("noise"), and a caller's
+one-class model ("occ"), which never sees an attack.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -80,9 +81,7 @@ class OmissionPlan:
     attack_types: tuple[str, ...]
     k_values: tuple[int, ...]
     with_noise: bool = True
-    n_runs: int = 10
-    ratio: float = 0.8
-    base_seed: int = 0
+    split: SplitPlan = SplitPlan()
     combination_cap: int = 20
 
     def __post_init__(self) -> None:
@@ -96,8 +95,6 @@ class OmissionPlan:
                 raise ValueError(f"k={k} out of range 1..{m}")
         if self.combination_cap < 1:
             raise ValueError("combination_cap must be >= 1")
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -116,9 +113,6 @@ class OmissionCell:
     macro_f1: float
     omitted_recall: float | None
 
-    def metric(self, name: str) -> float:
-        return getattr(self, name)
-
 
 @dataclass(frozen=True)
 class OmissionResult:
@@ -132,7 +126,7 @@ def _capped_combinations(plan: OmissionPlan, k: int) -> list[tuple[str, ...]]:
     combos = enumerate_combinations(plan.attack_types, k)
     if len(combos) <= plan.combination_cap:
         return combos
-    rng = rng_for(plan.base_seed, "combination-cap", k)
+    rng = rng_for(plan.split.base_seed, "combination-cap", k)
     picked = np.sort(rng.choice(len(combos), size=plan.combination_cap, replace=False))
     return [combos[i] for i in picked]
 
@@ -174,7 +168,8 @@ def aggregate_per_k(rows: Sequence[Mapping]) -> dict[tuple[int, str], dict[str, 
 
 
 def run_omission_experiment(
-    data: Dataset, plan: OmissionPlan, rf_config: ForestConfig = ForestConfig(), workers: int = 1
+    data: Dataset, plan: OmissionPlan, rf_config: ForestConfig = ForestConfig(), workers: int = 1,
+    occ: Callable[[int, Dataset, Dataset], np.ndarray] | None = None,
 ) -> OmissionResult:
     """Evaluate the forest over the full (k, combination, run, arm) grid.
 
@@ -182,37 +177,53 @@ def run_omission_experiment(
     across combinations; omission removes rows from the training fold only.
     A training fold left with a single class (every attack omitted, plain
     arm) is scored through a constant all-normal predictor, which is what an
-    attack-blind supervised model degenerates to. The cells run on up to
-    `workers` forked processes; the result does not depend on `workers`.
+    attack-blind supervised model degenerates to. Given `occ(run, train,
+    test) -> predictions`, every (run, combination) also gets an "occ" arm
+    from those predictions; the one-class model never sees an attack, so
+    each process calls `occ` once per run. The cells run on up to `workers`
+    forked processes; the result does not depend on `workers`.
     """
     present = set(data.attack_tags())
     for tag in plan.attack_types:
         if tag not in present:
             raise ValueError(f"attack type {tag!r} not present in data")
-    split_plan = SplitPlan(ratio=plan.ratio, n_runs=plan.n_runs, base_seed=plan.base_seed)
     combos = [
         (k, combo_id, combo)
         for k in [0] + sorted(set(plan.k_values))
         for combo_id, combo in enumerate(_capped_combinations(plan, k))
     ]
     arms = ["plain", "noise"] if plan.with_noise else ["plain"]
+    arms += ["occ"] if occ is not None else []
 
-    @functools.lru_cache(maxsize=1)  # cells come run by run: a process splits each run once
+    # Cells come run by run, a (run, combination)'s arms one after the other:
+    # a process splits each run, omits each combination and calls `occ` once.
+    @functools.lru_cache(maxsize=1)
     def folds(run: int) -> tuple[Dataset, Dataset]:
-        return stratified_split(data, split_plan, run)
+        return stratified_split(data, plan.split, run)
+
+    @functools.lru_cache(maxsize=1)
+    def omitted(run: int, combo: tuple[str, ...]) -> Dataset:
+        return omit_attack_types(folds(run)[0], combo)
+
+    @functools.lru_cache(maxsize=1)
+    def occ_predictions(run: int) -> np.ndarray:
+        return occ(run, *folds(run))
 
     def cell(key: tuple[int, tuple[int, int, tuple[str, ...]], str]) -> OmissionCell:
         run, (k, combo_id, combo), arm = key
-        train, test = folds(run)
-        fit_data = omit_attack_types(train, combo)
-        if arm == "noise":
-            fit_data = augment_with_noise(fit_data, derive_seed(plan.base_seed, "noise", run))
-        if len(np.unique(fit_data.y)) < 2:
-            preds = np.zeros(test.n_rows, dtype=np.int64)
+        test = folds(run)[1]
+        if arm == "occ":
+            preds = occ_predictions(run)
         else:
-            seed = derive_seed(plan.base_seed, "rf", k, combo_id, run, arm)
-            model = rf_fit(fit_data.X, fit_data.y, rf_config, seed=seed)
-            preds = rf_predict(model, test.X)
+            fit_data = omitted(run, combo)
+            if arm == "noise":
+                fit_data = augment_with_noise(fit_data, derive_seed(plan.split.base_seed, "noise", run))
+            if len(np.unique(fit_data.y)) < 2:
+                preds = np.zeros(test.n_rows, dtype=np.int64)
+            else:
+                seed = derive_seed(plan.split.base_seed, "rf", k, combo_id, run, arm)
+                model = rf_fit(fit_data.X, fit_data.y, rf_config, seed=seed)
+                preds = rf_predict(model, test.X)
         return OmissionCell(
             k=k,
             combination_id=combo_id,
@@ -222,5 +233,5 @@ def run_omission_experiment(
             **_evaluate_predictions(test, preds, combo),
         )
 
-    cells = tuple(map_cells(cell, list(itertools.product(range(plan.n_runs), combos, arms)), workers))
+    cells = tuple(map_cells(cell, list(itertools.product(range(plan.split.n_runs), combos, arms)), workers))
     return OmissionResult(cells=cells, per_k=aggregate_per_k([vars(c) for c in cells]))

@@ -172,7 +172,10 @@ def test_criterion_6_supervised_collapse_without_attacks():
     crit = _Criterion(6, "plain forest F1 collapses when every attack type is omitted", 120)
     demo = generate_gaussian_demo(106)
     plan = OmissionPlan(
-        attack_types=demo.attack_tags(), k_values=(2,), with_noise=False, n_runs=10, base_seed=106
+        attack_types=demo.attack_tags(),
+        k_values=(2,),
+        with_noise=False,
+        split=SplitPlan(n_runs=10, base_seed=106),
     )
     result = run_omission_experiment(demo, plan, ForestConfig(n_trees=50))
     f1_k0 = result.per_k[(0, "plain")]["attack_f1"][0]
@@ -184,7 +187,10 @@ def test_criterion_7_noise_recovers_omitted_cluster():
     crit = _Criterion(7, "noise arm recovers the omitted cluster, plain arm misses it", 120)
     demo = generate_gaussian_demo(107)
     plan = OmissionPlan(
-        attack_types=demo.attack_tags(), k_values=(1,), with_noise=True, n_runs=10, base_seed=107
+        attack_types=demo.attack_tags(),
+        k_values=(1,),
+        with_noise=True,
+        split=SplitPlan(n_runs=10, base_seed=107),
     )
     result = run_omission_experiment(demo, plan, ForestConfig(n_trees=50))
     plain = [

@@ -173,10 +173,6 @@ RESOLVED_PINS = {
         "b98093f6ac257fda729401fb876ae8738fb1fd58a3fe44db3cb59bd1bbf52f34",
         "321cdd7cdb8b",
     ),
-    ("readme", "demo"): (
-        "8c779ef84788de4c3f3e5f6d33d0f2f121b826f6f98802c3b9594bd2d00cfc94",
-        "77d50f6f7bb1",
-    ),
     ("seed-only", "occ-eval"): (
         "5bc95ef1feb407d719428342b5e02dd3d338fa6c68a4bfea129eda8b76bc1073",
         "a15570dfc2e3",
@@ -185,10 +181,6 @@ RESOLVED_PINS = {
         "eb2a6d2633e8605cff32641861c347899315bb91561ceb67510e75033249cab8",
         "88423cac4404",
     ),
-    ("seed-only", "demo"): (
-        "1bfffe57aa563c912d59eccce79675e6fe87bdf1d477e4ce552b3bc2ad830f36",
-        "812026318ac5",
-    ),
     ("int-sigma", "occ-eval"): (
         "b5b98525f4b40c679ca1238b9658785091d7d7915810a9b6412d6b5411928156",
         "bba952ea82ab",
@@ -196,10 +188,6 @@ RESOLVED_PINS = {
     ("int-sigma", "omission"): (
         "a660dbecd07f147d50af5b23873c0dcf361100462f50badd89e02d78afa3d082",
         "0a01588b4ccc",
-    ),
-    ("int-sigma", "demo"): (
-        "40f18a45cb7daa9d72d52085874b6f72b6b3ce7aba51ede232dd41c70a1f35ee",
-        "0f1dfae8c01e",
     ),
 }
 

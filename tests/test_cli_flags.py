@@ -38,6 +38,19 @@ def test_demo_rejects_workers(tmp_path):
     assert not (tmp_path / "demo").exists()
 
 
+def test_demo_rejects_config(tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"seed": 1}))
+    argv = ["demo", "--out", str(tmp_path), "--seed", "1", "--config", str(config)]
+    assert _argparse_exit_code(argv) == 2
+    assert not (tmp_path / "demo").exists()
+
+
+def test_demo_requires_seed(tmp_path):
+    assert _argparse_exit_code(["demo", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "demo").exists()
+
+
 def test_omission_worker_count_does_not_change_output(tmp_path):
     # Three runs, so with two workers each worker takes grid and one-class cells.
     argv = ["omission", "--config", str(_omission_config(tmp_path, n_runs=3))]
@@ -125,8 +138,8 @@ def test_occ_eval_forks_no_more_workers_than_cells(n_runs, detectors, sizes, tmp
 @pytest.mark.parametrize(
     ("n_runs", "sizes"),
     [
-        (1, [(3, "fork")]),  # 3 grid cells (k=0, then k=1 for a1 and a2), 1 one-class cell: no pool
-        (2, [(6, "fork"), (2, "fork")]),  # 6 grid cells, 2 one-class cells
+        (1, [(6, "fork")]),  # 3 combinations (k=0, then k=1 for a1 and a2) x (plain, occ)
+        (2, [(8, "fork")]),  # 12 cells, capped at 8 workers
     ],
 )
 def test_omission_forks_no_more_workers_than_cells(n_runs, sizes, tmp_path, monkeypatch):

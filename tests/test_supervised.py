@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from occkit import trees
-from occkit.dataset import Dataset, generate_gaussian_demo
+from occkit import supervised, trees
+from occkit.dataset import Dataset, SplitPlan, generate_gaussian_demo
 from occkit.forest import rf_fit_oracle
 from occkit.supervised import (
     ForestConfig,
@@ -279,7 +279,10 @@ def test_augment_noise_block_identical_across_omissions():
 def small_demo_result():
     demo = generate_gaussian_demo(1, n_normal=300, n_attack=100)
     plan = OmissionPlan(
-        attack_types=demo.attack_tags(), k_values=(1, 2), with_noise=True, n_runs=3, base_seed=5
+        attack_types=demo.attack_tags(),
+        k_values=(1, 2),
+        with_noise=True,
+        split=SplitPlan(n_runs=3, base_seed=5),
     )
     return demo, plan, run_omission_experiment(demo, plan, ForestConfig(n_trees=30))
 
@@ -291,6 +294,42 @@ def test_omission_grid_shape(small_demo_result):
     ks = sorted({c.k for c in result.cells})
     assert ks == [0, 1, 2]
     assert {c.arm for c in result.cells} == {"plain", "noise"}
+
+
+def test_omission_occ_arm_runs_once_per_run_on_the_forest_folds(monkeypatch):
+    demo = generate_gaussian_demo(4, n_normal=120, n_attack=40)
+    plan = OmissionPlan(
+        attack_types=demo.attack_tags(), k_values=(1,), split=SplitPlan(n_runs=3, base_seed=2)
+    )
+    calls = {"split": [], "omit": 0, "occ": []}
+    real_split, real_omit = supervised.stratified_split, supervised.omit_attack_types
+
+    def split(data, split_plan, run):
+        calls["split"].append(real_split(data, split_plan, run))
+        return calls["split"][-1]
+
+    def omit(data, combo):
+        calls["omit"] += 1
+        return real_omit(data, combo)
+
+    def occ(run, train, test):
+        calls["occ"].append((run, train, test))
+        return (test.X[:, 0] > 0.5).astype(np.int64)
+
+    monkeypatch.setattr(supervised, "stratified_split", split)
+    monkeypatch.setattr(supervised, "omit_attack_types", omit)
+    result = run_omission_experiment(demo, plan, ForestConfig(n_trees=3), workers=1, occ=occ)
+
+    n_combos = 1 + 2  # k=0, then k=1 for a1 and a2
+    assert [run for run, _, _ in calls["occ"]] == [0, 1, 2]
+    for (_, train, test), (fold_train, fold_test) in zip(calls["occ"], calls["split"], strict=True):
+        assert train is fold_train and test is fold_test  # the folds the forest arms got
+    assert calls["omit"] == 3 * n_combos  # plain and noise share one omission
+    occ_cells = [c for c in result.cells if c.arm == "occ"]
+    assert len(occ_cells) == 3 * n_combos
+    for cell in occ_cells:
+        test = calls["split"][cell.run][1]
+        assert cell.attack_recall == pytest.approx(100.0 * np.mean(test.X[test.y == 1, 0] > 0.5))
 
 
 def test_omission_unseen_middle_cluster_phenomenon(small_demo_result):
@@ -321,7 +360,7 @@ def test_omission_aggregate_recomputation(small_demo_result):
             by_combo = {}
             for cell in result.cells:
                 if cell.k == k and cell.arm == arm:
-                    by_combo.setdefault(cell.combination_id, []).append(cell.metric(metric))
+                    by_combo.setdefault(cell.combination_id, []).append(getattr(cell, metric))
             combo_means = [sum(v) / len(v) for _, v in sorted(by_combo.items())]
             want_mean = sum(combo_means) / len(combo_means)
             want_std = math.sqrt(
@@ -337,8 +376,7 @@ def test_omission_plain_recall_non_increasing_in_k():
         attack_types=demo.attack_tags(),
         k_values=(1, 2),
         with_noise=False,
-        n_runs=10,
-        base_seed=11,
+        split=SplitPlan(n_runs=10, base_seed=11),
     )
     result = run_omission_experiment(demo, plan, ForestConfig(n_trees=30))
     recalls = [result.per_k[(k, "plain")]["attack_recall"][0] for k in (0, 1, 2)]
@@ -349,14 +387,14 @@ def test_omission_plain_recall_non_increasing_in_k():
 
 def test_omission_rejects_unknown_attack_type():
     demo = generate_gaussian_demo(3, n_normal=60, n_attack=20)
-    plan = OmissionPlan(attack_types=("zzz",), k_values=(1,), n_runs=1)
+    plan = OmissionPlan(attack_types=("zzz",), k_values=(1,), split=SplitPlan(n_runs=1))
     with pytest.raises(ValueError, match="not present"):
         run_omission_experiment(demo, plan, ForestConfig(n_trees=2))
 
 
 def test_omission_plan_rejects_a_repeated_attack_type():
     with pytest.raises(ValueError, match="repeat"):
-        OmissionPlan(attack_types=("a1", "a1"), k_values=(1,), n_runs=1)
+        OmissionPlan(attack_types=("a1", "a1"), k_values=(1,), split=SplitPlan(n_runs=1))
 
 
 def test_omission_combination_cap():
@@ -371,8 +409,7 @@ def test_omission_combination_cap():
         attack_types=tags,
         k_values=(3,),
         with_noise=False,
-        n_runs=1,
-        base_seed=1,
+        split=SplitPlan(n_runs=1, base_seed=1),
         combination_cap=5,
     )
     result = run_omission_experiment(data, plan, ForestConfig(n_trees=4))
