@@ -26,6 +26,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import operator
 import sys
 import typing
 from dataclasses import MISSING, dataclass
@@ -51,18 +52,17 @@ from .dataset import (
     load_csv,
     load_schema,
     omit_attack_types,
-    stratified_indices,
+    split_indices,
     stratified_split,
 )
 from .detectors import VARIANTS, DetectorConfig, fit as fit_detector, score as score_detector
 from .ensemble import PredictionMatrix, consensus
-from .metrics import confusion, mean_std, metric_row
+from .metrics import aggregate, confusion, metric_row
 from .seeding import derive_seed
 from .supervised import (
     OMISSION_METRICS,
     ForestConfig,
     OmissionPlan,
-    aggregate_per_k,
     augment_with_noise,
     rf_fit,
     rf_predict,
@@ -346,8 +346,7 @@ class _DataSource:
         if self._dataset is not None:
             train, test = stratified_split(self._dataset, plan, run)
             return filter_normal(train), test
-        rng = np.random.default_rng([plan.base_seed, run])
-        train_idx, test_idx = stratified_indices(self._y, plan.ratio, rng)
+        train_idx, test_idx = split_indices(self._y, plan, run)
         train_table = self._table.subset(train_idx)
         state = fit_preprocessor(train_table, self._schema)
         train = apply_preprocessor(state, train_table, self._schema)
@@ -389,9 +388,29 @@ def _read_rows(path: Path, columns: tuple[str, ...]) -> list[dict]:
         return rows
 
 
-def _stats(mean_and_std: tuple[float, float]) -> dict[str, float]:
-    mean, std = mean_and_std
-    return {"mean": mean, "std": std}
+def _metrics(stats: dict[str, tuple[float, float]]) -> dict[str, dict[str, float]]:
+    return {name: {"mean": mean, "std": std} for name, (mean, std) in stats.items()}
+
+
+def _occ_blocks(rows: list[dict]) -> dict:
+    per_model = aggregate(rows, operator.itemgetter("model", "kind", "n_models"), "run", OCC_METRIC_COLUMNS)
+    return {
+        model: {"kind": kind, "n_models": int(n_models), "metrics": _metrics(stats)}
+        for (model, kind, n_models), stats in per_model.items()
+    }
+
+
+def _omission_blocks(rows: list[dict]) -> dict:
+    per_k = aggregate(rows, operator.itemgetter("k", "arm"), "combination_id", OMISSION_METRICS)
+    return {f"k={k}/{arm}": {"metrics": _metrics(stats)} for (k, arm), stats in per_k.items()}
+
+
+# Each experiment's per_run.csv columns and the report blocks built from those
+# rows: a run writes its report and `occkit report` audits it through this table.
+_RESULTS = {
+    "occ-eval": (OCC_CSV_COLUMNS, _occ_blocks),
+    "omission": (OMISSION_CSV_COLUMNS, _omission_blocks),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -439,29 +458,17 @@ def _occ_rows_for_run(
     ]
 
 
-def _aggregate_occ_rows(rows: list[dict]) -> dict:
-    grouped: dict[str, list[dict]] = {}  # in first-seen model order
-    for row in rows:
-        grouped.setdefault(row["model"], []).append(row)
-    return {
-        model: {
-            "kind": model_rows[0]["kind"],
-            "n_models": int(model_rows[0]["n_models"]),
-            "metrics": {
-                m: _stats(mean_std([float(r[m]) for r in model_rows])) for m in OCC_METRIC_COLUMNS
-            },
-        }
-        for model, model_rows in grouped.items()
-    }
-
-
 def _run_dir(config: ExperimentConfig, out_dir: Path) -> Path:
     run_dir = out_dir / config.experiment / config.config_hash
     run_dir.mkdir(parents=True, exist_ok=True)
     return run_dir
 
 
-def _finalize(config: ExperimentConfig, run_dir: Path, blocks: dict) -> Report:
+def _finalize(config: ExperimentConfig, run_dir: Path, rows: list[dict]) -> Report:
+    """Write per_run.csv, config.json and report.json, its blocks built as `occkit report` rebuilds them."""
+    columns, build_blocks = _RESULTS[config.experiment]
+    _write_rows(run_dir / "per_run.csv", columns, rows)
+    blocks = build_blocks(_read_rows(run_dir / "per_run.csv", columns))
     report = Report(
         experiment=config.experiment,
         seed=config.seed,
@@ -510,24 +517,11 @@ def cmd_occ_eval(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> R
             f"occ-eval aborted at run {len(per_run)}: {exc} "
             f"({len(per_run)} completed runs preserved)"
         ) from exc
-    rows = [row for chunk in per_run for row in chunk]
-    _write_rows(run_dir / "per_run.csv", OCC_CSV_COLUMNS, rows)
-    # Aggregate from the re-parsed CSV so every report number is exactly
-    # recomputable from the persisted rows.
-    blocks = _aggregate_occ_rows(_read_rows(run_dir / "per_run.csv", OCC_CSV_COLUMNS))
-    return _finalize(config, run_dir, blocks)
+    return _finalize(config, run_dir, [row for chunk in per_run for row in chunk])
 
 
 # ---------------------------------------------------------------------------
 # omission
-
-
-def _aggregate_omission_rows(rows: list[dict]) -> dict:
-    per_k = aggregate_per_k(rows)
-    return {
-        f"k={k}/{arm}": {"metrics": {m: _stats(stats) for m, stats in per_k[(k, arm)].items()}}
-        for k, arm in sorted(per_k, key=lambda key: (key[0], _ARM_ORDER[key[1]]))
-    }
 
 
 def cmd_omission(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> Report:
@@ -560,10 +554,7 @@ def cmd_omission(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> R
     result = run_omission_experiment(data, plan, rf_config, workers=workers, occ=occ)
     rows = [{**vars(cell), "combination_tags": "|".join(cell.combination)} for cell in result.cells]
     rows.sort(key=lambda r: (r["k"], r["combination_id"], r["run"], _ARM_ORDER[r["arm"]]))
-    run_dir = _run_dir(config, out_dir)
-    _write_rows(run_dir / "per_run.csv", OMISSION_CSV_COLUMNS, rows)
-    blocks = _aggregate_omission_rows(_read_rows(run_dir / "per_run.csv", OMISSION_CSV_COLUMNS))
-    return _finalize(config, run_dir, blocks)
+    return _finalize(config, _run_dir(config, out_dir), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +627,9 @@ def _render_blocks(report: Report) -> str:
     return "\n".join(lines)
 
 
-def _compare_blocks(stored: dict, recomputed: dict, tol: float = 1e-9) -> None:
+def _compare_blocks(stored: object, recomputed: dict, tol: float = 1e-9) -> None:
+    if not isinstance(stored, dict):
+        raise ValueError("report.json 'blocks' is not an object")
     if set(stored) != set(recomputed):
         raise ConsistencyError(
             f"report blocks {sorted(stored)} do not match per-run CSV blocks {sorted(recomputed)}"
@@ -646,10 +639,12 @@ def _compare_blocks(stored: dict, recomputed: dict, tol: float = 1e-9) -> None:
         if not isinstance(stored_metrics, dict):
             raise ValueError(f"report.json block {name!r} has no 'metrics' object")
         for metric, stats in block["metrics"].items():
+            stored_stats = stored_metrics.get(metric, {})
+            if not isinstance(stored_stats, dict) or not all(_fits(v, float) for v in stored_stats.values()):
+                raise ValueError(f"report.json block {name!r} metric {metric!r} is not an object of numbers")
             for field in ("mean", "std"):
-                got = stats[field]
-                want = stored_metrics.get(metric, {}).get(field)
-                if want is None or abs(got - want) > tol:
+                got, want = stats[field], stored_stats.get(field)
+                if want is None or not abs(got - want) <= tol:  # a NaN on either side fails too
                     raise ConsistencyError(
                         f"{name}.{metric}.{field}: stored {want!r} but per-run rows give {got!r}"
                     )
@@ -663,18 +658,16 @@ def cmd_report(run_dir: Path) -> Report:
         raise ValueError(f"{run_dir} does not contain report.json and per_run.csv")
     with open(report_path, encoding="utf-8") as fh:
         stored = json.load(fh)
+    if not isinstance(stored, dict):
+        raise ValueError(f"{report_path} is not a JSON object")
     missing = [f.name for f in dataclasses.fields(Report) if f.name not in stored]
     if missing:
         raise ValueError(f"{report_path}: missing key(s) {missing}")
     experiment = stored["experiment"]
-    if experiment == "occ-eval":
-        rows = _read_rows(csv_path, OCC_CSV_COLUMNS)
-        recomputed = _aggregate_occ_rows(rows)
-    elif experiment == "omission":
-        rows = _read_rows(csv_path, OMISSION_CSV_COLUMNS)
-        recomputed = _aggregate_omission_rows(rows)
-    else:
+    if not isinstance(experiment, str) or experiment not in _RESULTS:
         raise ValueError(f"report.json has unknown experiment kind {experiment!r}")
+    columns, build_blocks = _RESULTS[experiment]
+    recomputed = build_blocks(_read_rows(csv_path, columns))
     _compare_blocks(stored["blocks"], recomputed)
     return Report(**{f.name: stored[f.name] for f in dataclasses.fields(Report)} | {"blocks": recomputed})
 

@@ -30,6 +30,7 @@ __all__ = [
     "extract_labels",
     "fit_preprocessor",
     "apply_preprocessor",
+    "split_indices",
     "stratified_split",
     "filter_normal",
     "omit_attack_types",
@@ -556,16 +557,20 @@ def stratified_indices(
     return train, test
 
 
-def stratified_split(data: Dataset, plan: SplitPlan, run_index: int) -> tuple[Dataset, Dataset]:
-    """Seeded, reproducible stratified partition for one run.
+def split_indices(y: np.ndarray, plan: SplitPlan, run_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """(train, test) row indices of one run's stratified partition.
 
     The shuffle is seeded by (base_seed, run_index) only, so the same run
     always produces the same membership whatever else the caller does.
     """
     if not 0 <= run_index < plan.n_runs:
         raise ValueError(f"run_index {run_index} out of range 0..{plan.n_runs - 1}")
-    rng = np.random.default_rng([plan.base_seed, run_index])
-    train_idx, test_idx = stratified_indices(data.y, plan.ratio, rng)
+    return stratified_indices(y, plan.ratio, np.random.default_rng([plan.base_seed, run_index]))
+
+
+def stratified_split(data: Dataset, plan: SplitPlan, run_index: int) -> tuple[Dataset, Dataset]:
+    """Seeded, reproducible stratified partition for one run, see `split_indices`."""
+    train_idx, test_idx = split_indices(data.y, plan, run_index)
     return data.subset(train_idx), data.subset(test_idx)
 
 

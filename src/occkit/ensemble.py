@@ -37,10 +37,6 @@ class PredictionMatrix:
     def n_models(self) -> int:
         return self.preds.shape[0]
 
-    @property
-    def n_instances(self) -> int:
-        return self.preds.shape[1]
-
 
 def consensus(matrix: PredictionMatrix, k: int) -> np.ndarray:
     """Attack predictions at consensus level k: 1 where at least k votes are 1.

@@ -1,4 +1,4 @@
-"""Confusion-matrix metrics on the percent scale, plus their mean and spread over runs.
+"""Confusion-matrix metrics on the percent scale, plus the one aggregate every report uses.
 
 The attack class (label 1) is the positive class everywhere. Metrics for the
 normal class are obtained by swapping the positive-class convention, see
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "macro_f1",
     "metric_row",
     "mean_std",
+    "aggregate",
 ]
 
 
@@ -118,3 +119,25 @@ def mean_std(values: Sequence[float]) -> tuple[float, float]:
     mu = math.fsum(values) / len(values)
     var = math.fsum((v - mu) ** 2 for v in values) / len(values)
     return mu, math.sqrt(var)
+
+
+def aggregate(
+    rows: Iterable[Mapping], block: Callable[[Mapping], Hashable], group: str, names: Sequence[str]
+) -> dict[Hashable, dict[str, tuple[float, float]]]:
+    """Per block of rows, in first-seen order, the `mean_std` of each metric's group means.
+
+    A block's rows are grouped by the integer column `group`, groups in
+    ascending order: omission by combination, occ-eval by run, whose one row
+    is its own mean exactly. Values are numbers or per_run.csv text. Every sum
+    is an fsum, so no statistic depends on the order of the rows.
+    """
+    blocks: dict[Hashable, dict[int, list[Mapping]]] = {}
+    for row in rows:
+        blocks.setdefault(block(row), {}).setdefault(int(row[group]), []).append(row)
+    return {
+        key: {
+            name: mean_std([math.fsum(float(r[name]) for r in g) / len(g) for _, g in sorted(groups.items())])
+            for name in names
+        }
+        for key, groups in blocks.items()
+    }

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .dataset import (
     stratified_split,
 )
 from .forest import ForestConfig, ForestModel, gini_impurity, rf_fit, rf_predict
-from .metrics import confusion, mean_std, metric_row
+from .metrics import aggregate, confusion, metric_row
 from .seeding import derive_seed, rng_for
 
 __all__ = [
@@ -116,7 +116,11 @@ class OmissionCell:
 
 @dataclass(frozen=True)
 class OmissionResult:
-    """All grid cells plus per-(k, arm) aggregates over combination means."""
+    """All grid cells plus per-(k, arm) aggregates over combination means.
+
+    Each combination's metric is first averaged over its runs; `per_k` then
+    takes mean and std across combinations, as omission curves are plotted.
+    """
 
     cells: tuple[OmissionCell, ...]
     per_k: dict[tuple[int, str], dict[str, tuple[float, float]]]
@@ -139,32 +143,6 @@ def _evaluate_predictions(test: Dataset, preds: np.ndarray, combo: tuple[str, ..
         if rows.any():
             omitted_recall = 100.0 * float(np.mean(preds[rows] == 1))
     return {**{name: row[name] for name in OMISSION_METRICS}, "omitted_recall": omitted_recall}
-
-
-def aggregate_per_k(rows: Sequence[Mapping]) -> dict[tuple[int, str], dict[str, tuple[float, float]]]:
-    """Mean and population std over combination-level means, per (k, arm).
-
-    Each combination's metric is first averaged over its runs; aggregates are
-    then taken across combinations, matching how omission curves are plotted.
-    Rows map "k", "arm", "combination_id" and every OMISSION_METRICS name to
-    a value, either as a number or as the text written to per_run.csv.
-    """
-    grouped: dict[tuple[int, str], dict[int, list[Mapping]]] = {}
-    for row in rows:
-        key = (int(row["k"]), str(row["arm"]))
-        grouped.setdefault(key, {}).setdefault(int(row["combination_id"]), []).append(row)
-    return {
-        key: {
-            name: mean_std(
-                [
-                    math.fsum(float(r[name]) for r in combo_rows) / len(combo_rows)
-                    for _, combo_rows in sorted(by_combo.items())
-                ]
-            )
-            for name in OMISSION_METRICS
-        }
-        for key, by_combo in sorted(grouped.items())
-    }
 
 
 def run_omission_experiment(
@@ -234,4 +212,5 @@ def run_omission_experiment(
         )
 
     cells = tuple(map_cells(cell, list(itertools.product(range(plan.split.n_runs), combos, arms)), workers))
-    return OmissionResult(cells=cells, per_k=aggregate_per_k([vars(c) for c in cells]))
+    per_k = aggregate(map(vars, cells), operator.itemgetter("k", "arm"), "combination_id", OMISSION_METRICS)
+    return OmissionResult(cells=cells, per_k=per_k)

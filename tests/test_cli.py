@@ -639,6 +639,13 @@ def test_main_report_names_missing_report_key(occ_run, tmp_path, capsys):
     assert "['seed']" in capsys.readouterr().err
 
 
+def test_main_report_rejects_a_report_that_is_no_object(occ_run, tmp_path, capsys):
+    damaged = _copy_run(occ_run, tmp_path / "damaged")
+    (damaged / "report.json").write_text("5")
+    assert main(["report", "--run-dir", str(damaged)]) == 3
+    assert "report.json is not a JSON object" in capsys.readouterr().err
+
+
 def test_main_report_names_short_csv_row(occ_run, tmp_path, capsys):
     damaged = _copy_run(occ_run, tmp_path / "damaged")
     lines = (damaged / "per_run.csv").read_text().splitlines()
@@ -649,18 +656,42 @@ def test_main_report_names_short_csv_row(occ_run, tmp_path, capsys):
     assert f"data row 3 has {width - 1} cells, expected {width}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["drop", "not-an-object"])
+def test_main_report_rejects_a_nan_metric_cell(occ_run, tmp_path, capsys):
+    damaged = _copy_run(occ_run, tmp_path / "damaged")
+    lines = (damaged / "per_run.csv").read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[4] = "nan"  # accuracy cell
+    lines[1] = ",".join(cells)
+    (damaged / "per_run.csv").write_text("\n".join(lines) + "\n")
+    assert main(["report", "--run-dir", str(damaged)]) == 4
+    assert f"{cells[1]}.accuracy.mean" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "damage", ["drop", "not-an-object", "blocks-a-list", "stats-a-number", "mean-a-string"]
+)
 def test_main_report_names_block_without_metrics(occ_run, tmp_path, capsys, damage):
     damaged = _copy_run(occ_run, tmp_path / "damaged")
     stored = json.loads((damaged / "report.json").read_text())
     name = sorted(stored["blocks"])[0]
+    block = stored["blocks"][name]
+    named = f"block {name!r} metric 'accuracy' is not an object of numbers"
     if damage == "drop":
-        del stored["blocks"][name]["metrics"]
+        del block["metrics"]
+        named = f"block {name!r} has no 'metrics' object"
+    elif damage == "not-an-object":
+        block["metrics"] = [1, 2]
+        named = f"block {name!r} has no 'metrics' object"
+    elif damage == "blocks-a-list":
+        stored["blocks"] = list(stored["blocks"].values())
+        named = "report.json 'blocks' is not an object"
+    elif damage == "stats-a-number":
+        block["metrics"]["accuracy"] = 1.0
     else:
-        stored["blocks"][name]["metrics"] = [1, 2]
+        block["metrics"]["accuracy"]["mean"] = "1.0"
     (damaged / "report.json").write_text(json.dumps(stored))
     assert main(["report", "--run-dir", str(damaged)]) == 3
-    assert f"block {name!r} has no 'metrics' object" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
 
 
 def test_main_demo_runs(tmp_path):

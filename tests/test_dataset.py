@@ -17,6 +17,7 @@ from occkit.dataset import (
     load_csv,
     load_schema,
     omit_attack_types,
+    split_indices,
     stratified_split,
 )
 
@@ -367,6 +368,16 @@ def test_split_is_a_partition():
         total = int((data.y == cls).sum())
         got = int((train.y == cls).sum())
         assert abs(got - 0.8 * total) < 1.0
+
+
+def test_split_indices_are_the_rows_of_the_split():
+    data = _toy(40, 12)
+    plan = SplitPlan(ratio=0.75, n_runs=3, base_seed=5)
+    train_idx, test_idx = split_indices(data.y, plan, 2)
+    train, test = stratified_split(data, plan, 2)
+    assert np.array_equal(data.X[train_idx], train.X) and np.array_equal(data.X[test_idx], test.X)
+    with pytest.raises(ValueError, match="run_index 3 out of range"):
+        split_indices(data.y, plan, 3)
 
 
 def test_split_rejects_tiny_class():

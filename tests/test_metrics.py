@@ -1,15 +1,22 @@
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occkit.metrics import (
     ClassMetrics,
     ConfusionCounts,
+    aggregate,
     class_metrics,
     confusion,
     macro_f1,
+    mean_std,
 )
+
+PERCENT = st.floats(min_value=0.0, max_value=100.0)
 
 
 def test_confusion_mixed():
@@ -143,3 +150,38 @@ def test_macro_f1_against_label_swap_oracle():
 
         want = (frac_f1(y_true, y_pred) + frac_f1(1 - y_true, 1 - y_pred)) / 2
         assert got == pytest.approx(want, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(PERCENT, min_size=1, max_size=12), data=st.data())
+def test_aggregate_over_one_row_per_group_is_mean_std_bit_for_bit(values, data):
+    # the occ-eval shape: one row per run, metric cells as written to per_run.csv
+    rows = [{"model": "m", "run": str(run), "accuracy": repr(v)} for run, v in enumerate(values)]
+    rows = data.draw(st.permutations(rows))
+    (stats,) = aggregate(rows, itemgetter("model"), "run", ("accuracy",)).values()
+    assert [x.hex() for x in stats["accuracy"]] == [x.hex() for x in mean_std(values)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4), PERCENT), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_aggregate_averages_group_means_whatever_the_row_order(cells, data):
+    # the omission shape: several rows per (k, combination), one per run
+    rows = [{"k": k, "combination_id": combo, "recall": v} for k, combo, v in cells]
+    shuffled = data.draw(st.permutations(rows))
+    got = aggregate(shuffled, itemgetter("k"), "combination_id", ("recall",))
+    assert got == aggregate(rows, itemgetter("k"), "combination_id", ("recall",))
+    assert list(got) == list(dict.fromkeys(row["k"] for row in shuffled))
+    for k, stats in got.items():
+        by_combo = {}
+        for kk, combo, v in cells:
+            if kk == k:
+                by_combo.setdefault(combo, []).append(Fraction(v))
+        means = [sum(vs) / len(vs) for vs in by_combo.values()]
+        mu = sum(means) / len(means)
+        var = sum((m - mu) ** 2 for m in means) / len(means)
+        mean, std = stats["recall"]
+        assert abs(mean - float(mu)) <= 1e-12
+        assert abs(std - float(var) ** 0.5) <= 1e-9
