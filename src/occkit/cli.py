@@ -104,8 +104,6 @@ OMISSION_CSV_COLUMNS = (
     "arm",
 ) + OMISSION_METRICS
 
-_ARM_ORDER = {"plain": 0, "noise": 1, "occ": 2}
-
 DEFAULT_DETECTORS = {variant: {"variant": variant} for variant in VARIANTS}
 
 _JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string", dict: "object"}
@@ -223,6 +221,7 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
     })
     seed = seed_override if seed_override is not None else top["seed"]
     _require(seed is not None, "a seed is required (config 'seed' or --seed); no wall-clock default")
+    _require(seed >= 0, f"{'--seed' if seed_override is not None else 'config.seed'} must be >= 0, got {seed}")
 
     if "demo" in top["dataset"]:
         dataset = _block(top["dataset"], "dataset", {"demo": (dict, {})})
@@ -230,6 +229,7 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
             "seed": (int, seed), "n_normal": (int, DEMO_N_NORMAL),
             "n_attack": (int, DEMO_N_ATTACK), "sigma": (float, DEMO_SIGMA),
         })
+        _require(dataset["demo"]["seed"] >= 0, f"dataset.demo.seed must be >= 0, got {dataset['demo']['seed']}")
     else:
         dataset = _block(top["dataset"], "dataset", {"csv": (str, MISSING), "schema": (str, MISSING)})
 
@@ -253,6 +253,7 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
     ensemble_spec = {"members": ([str], list(detectors)), "levels": ([int], None)}
     ensemble = _block(top["ensemble"], "ensemble", ensemble_spec)
     members = ensemble["members"]
+    _require(members != [], "ensemble.members is empty; leave it out to use every configured detector")
     for member in members:
         _require(member in detectors, f"ensemble member {member!r} is not a configured detector")
     _require(len(set(members)) == len(members), f"ensemble.members repeats a detector: {members}")
@@ -553,7 +554,6 @@ def cmd_omission(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> R
     rf_config = ForestConfig(**config.omission["rf"])
     result = run_omission_experiment(data, plan, rf_config, workers=workers, occ=occ)
     rows = [{**vars(cell), "combination_tags": "|".join(cell.combination)} for cell in result.cells]
-    rows.sort(key=lambda r: (r["k"], r["combination_id"], r["run"], _ARM_ORDER[r["arm"]]))
     return _finalize(config, _run_dir(config, out_dir), rows)
 
 
@@ -627,7 +627,13 @@ def _render_blocks(report: Report) -> str:
     return "\n".join(lines)
 
 
+def _same(stored: object, recomputed: object) -> bool:
+    """Equal and of one JSON type: a stored `true` or `1.0` is no integer 1."""
+    return type(stored) is type(recomputed) and stored == recomputed
+
+
 def _compare_blocks(stored: object, recomputed: dict, tol: float = 1e-9) -> None:
+    """Check every stored block against its rebuild: its keys, its non-metric values and each metric."""
     if not isinstance(stored, dict):
         raise ValueError("report.json 'blocks' is not an object")
     if set(stored) != set(recomputed):
@@ -635,11 +641,18 @@ def _compare_blocks(stored: object, recomputed: dict, tol: float = 1e-9) -> None
             f"report blocks {sorted(stored)} do not match per-run CSV blocks {sorted(recomputed)}"
         )
     for name, block in recomputed.items():
-        stored_metrics = stored[name].get("metrics") if isinstance(stored[name], dict) else None
+        stored_block = stored[name]
+        stored_metrics = stored_block.get("metrics") if isinstance(stored_block, dict) else None
         if not isinstance(stored_metrics, dict):
             raise ValueError(f"report.json block {name!r} has no 'metrics' object")
+        for what, got, want in (("keys", stored_block, block), ("metrics", stored_metrics, block["metrics"])):
+            if set(got) != set(want):
+                raise ConsistencyError(f"{name}: stored {what} {sorted(got)} but per-run rows give {sorted(want)}")
+        for key, value in block.items():
+            if key != "metrics" and not _same(stored_block[key], value):
+                raise ConsistencyError(f"{name}.{key}: stored {stored_block[key]!r} but per-run rows give {value!r}")
         for metric, stats in block["metrics"].items():
-            stored_stats = stored_metrics.get(metric, {})
+            stored_stats = stored_metrics[metric]
             if not isinstance(stored_stats, dict) or not all(_fits(v, float) for v in stored_stats.values()):
                 raise ValueError(f"report.json block {name!r} metric {metric!r} is not an object of numbers")
             for field in ("mean", "std"):
@@ -667,8 +680,12 @@ def cmd_report(run_dir: Path) -> Report:
     if not isinstance(experiment, str) or experiment not in _RESULTS:
         raise ValueError(f"report.json has unknown experiment kind {experiment!r}")
     columns, build_blocks = _RESULTS[experiment]
-    recomputed = build_blocks(_read_rows(csv_path, columns))
+    rows = _read_rows(csv_path, columns)
+    recomputed = build_blocks(rows)
     _compare_blocks(stored["blocks"], recomputed)
+    n_runs = len({int(row["run"]) for row in rows})
+    if not _same(stored["n_runs"], n_runs):
+        raise ConsistencyError(f"n_runs: stored {stored['n_runs']!r} but per-run rows hold {n_runs} runs")
     return Report(**{f.name: stored[f.name] for f in dataclasses.fields(Report)} | {"blocks": recomputed})
 
 
@@ -700,6 +717,7 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_report(args.run_dir)
             print(_render_blocks(report))
         elif args.command == "demo":
+            _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
             run_dir = cmd_demo(args.seed, args.out)
             print(f"demo artifacts written to {run_dir}")
         else:

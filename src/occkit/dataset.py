@@ -397,6 +397,8 @@ class SplitPlan:
             raise ValueError(f"ratio must be in (0,1), got {self.ratio}")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
 def fit_preprocessor(table: RawTable, schema: Schema) -> PreprocessorState:

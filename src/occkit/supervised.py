@@ -135,14 +135,19 @@ def _capped_combinations(plan: OmissionPlan, k: int) -> list[tuple[str, ...]]:
     return [combos[i] for i in picked]
 
 
-def _evaluate_predictions(test: Dataset, preds: np.ndarray, combo: tuple[str, ...]) -> dict:
+def _omission_cell(
+    k: int, combo_id: int, combo: tuple[str, ...], run: int, arm: str, test: Dataset, preds: np.ndarray
+) -> OmissionCell:
     row = metric_row(confusion(test.y, preds))
     omitted_recall = None
     if combo:
         rows = np.isin(test.attack_type, combo)
         if rows.any():
             omitted_recall = 100.0 * float(np.mean(preds[rows] == 1))
-    return {**{name: row[name] for name in OMISSION_METRICS}, "omitted_recall": omitted_recall}
+    return OmissionCell(
+        k=k, combination_id=combo_id, combination=combo, run=run, arm=arm,
+        **{name: row[name] for name in OMISSION_METRICS}, omitted_recall=omitted_recall,
+    )
 
 
 def run_omission_experiment(
@@ -155,11 +160,14 @@ def run_omission_experiment(
     across combinations; omission removes rows from the training fold only.
     A training fold left with a single class (every attack omitted, plain
     arm) is scored through a constant all-normal predictor, which is what an
-    attack-blind supervised model degenerates to. Given `occ(run, train,
-    test) -> predictions`, every (run, combination) also gets an "occ" arm
-    from those predictions; the one-class model never sees an attack, so
-    each process calls `occ` once per run. The cells run on up to `workers`
-    forked processes; the result does not depend on `workers`.
+    attack-blind supervised model degenerates to. A grid cell is one (run,
+    combination): it omits the combination once, then fits the plain and the
+    noise forest. Given `occ(run, train, test) -> predictions`, each run has
+    one more cell, first among its run's, for the "occ" arm: the one-class
+    model never sees an attack, so it calls `occ` once per run at any worker
+    count and scores those predictions against every combination. The cells
+    run on up to `workers` forked processes; `cells` comes in (k,
+    combination_id, run, arm) order and does not depend on `workers`.
     """
     present = set(data.attack_tags())
     for tag in plan.attack_types:
@@ -170,47 +178,36 @@ def run_omission_experiment(
         for k in [0] + sorted(set(plan.k_values))
         for combo_id, combo in enumerate(_capped_combinations(plan, k))
     ]
-    arms = ["plain", "noise"] if plan.with_noise else ["plain"]
-    arms += ["occ"] if occ is not None else []
+    forest_arms = ["plain", "noise"] if plan.with_noise else ["plain"]
+    arms = forest_arms + (["occ"] if occ is not None else [])
 
-    # Cells come run by run, a (run, combination)'s arms one after the other:
-    # a process splits each run, omits each combination and calls `occ` once.
-    @functools.lru_cache(maxsize=1)
+    @functools.lru_cache(maxsize=1)  # a process taking consecutive cells of one run splits it once
     def folds(run: int) -> tuple[Dataset, Dataset]:
         return stratified_split(data, plan.split, run)
 
-    @functools.lru_cache(maxsize=1)
-    def omitted(run: int, combo: tuple[str, ...]) -> Dataset:
-        return omit_attack_types(folds(run)[0], combo)
-
-    @functools.lru_cache(maxsize=1)
-    def occ_predictions(run: int) -> np.ndarray:
-        return occ(run, *folds(run))
-
-    def cell(key: tuple[int, tuple[int, int, tuple[str, ...]], str]) -> OmissionCell:
-        run, (k, combo_id, combo), arm = key
-        test = folds(run)[1]
-        if arm == "occ":
-            preds = occ_predictions(run)
-        else:
-            fit_data = omitted(run, combo)
-            if arm == "noise":
-                fit_data = augment_with_noise(fit_data, derive_seed(plan.split.base_seed, "noise", run))
+    def cell(key: tuple[int, tuple[int, int, tuple[str, ...]] | None]) -> list[OmissionCell]:
+        run, block = key
+        train, test = folds(run)
+        if block is None:
+            preds = occ(run, train, test)
+            return [_omission_cell(*combo, run, "occ", test, preds) for combo in combos]
+        k, combo_id, combo = block
+        omitted = omit_attack_types(train, combo)
+        noise_seed = derive_seed(plan.split.base_seed, "noise", run)
+        out = []
+        for arm in forest_arms:
+            fit_data = omitted if arm == "plain" else augment_with_noise(omitted, noise_seed)
             if len(np.unique(fit_data.y)) < 2:
                 preds = np.zeros(test.n_rows, dtype=np.int64)
             else:
                 seed = derive_seed(plan.split.base_seed, "rf", k, combo_id, run, arm)
-                model = rf_fit(fit_data.X, fit_data.y, rf_config, seed=seed)
-                preds = rf_predict(model, test.X)
-        return OmissionCell(
-            k=k,
-            combination_id=combo_id,
-            combination=combo,
-            run=run,
-            arm=arm,
-            **_evaluate_predictions(test, preds, combo),
-        )
+                preds = rf_predict(rf_fit(fit_data.X, fit_data.y, rf_config, seed=seed), test.X)
+            out.append(_omission_cell(k, combo_id, combo, run, arm, test, preds))
+        return out
 
-    cells = tuple(map_cells(cell, list(itertools.product(range(plan.split.n_runs), combos, arms)), workers))
+    blocks = ([None] if occ is not None else []) + combos  # the one-class cell first: with lof it is the heaviest
+    keys = [(run, block) for run in range(plan.split.n_runs) for block in blocks]
+    done = itertools.chain.from_iterable(map_cells(cell, keys, workers))
+    cells = tuple(sorted(done, key=lambda c: (c.k, c.combination_id, c.run, arms.index(c.arm))))
     per_k = aggregate(map(vars, cells), operator.itemgetter("k", "arm"), "combination_id", OMISSION_METRICS)
     return OmissionResult(cells=cells, per_k=per_k)

@@ -132,11 +132,16 @@ def _with_forest(**settings):
         ("omission", {"omission": {"rf": {"n_trees": "5"}}}, "omission.rf.n_trees must be a JSON integer"),
         ("omission", {"omission": {"rf": {"n_trees": 0}}}, "omission.rf: n_trees must be >= 1"),
         ("omission", {"omission": {"combination_cap": 0}}, "omission.combination_cap must be >= 1"),
+        ("occ-eval", {"seed": -1}, "config.seed must be >= 0, got -1"),
+        ("omission", {"split": {"base_seed": -4}}, "split: base_seed must be >= 0, got -4"),
+        ("occ-eval", {"dataset": {"demo": {"seed": -2}}}, "dataset.demo.seed must be >= 0, got -2"),
+        ("occ-eval", {"ensemble": {"members": []}}, "ensemble.members is empty"),
     ],
     ids=[
         "seed", "dataset.demo", "split", "detector", "ensemble.members", "ensemble.levels",
         "omission.k_values", "omission.with_noise", "omission.rf-type", "omission.rf-range",
-        "omission.combination_cap",
+        "omission.combination_cap", "seed-negative", "split.base_seed-negative",
+        "dataset.demo.seed-negative", "ensemble.members-empty",
     ],
 )
 def test_main_rejects_a_wrong_typed_value_in_every_block(command, overrides, named, tmp_path, capsys):
@@ -574,6 +579,17 @@ def test_main_missing_seed_exit_code(tmp_path):
     assert main(["occ-eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command", ["occ-eval", "omission", "demo"])
+def test_main_rejects_a_negative_seed_flag(command, tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = [command, "--out", str(out), "--seed", "-1"]
+    if command != "demo":
+        argv += ["--config", str(_occ_config(tmp_path))]
+    assert main(argv) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("preprocessor_fit", ["full", "train"])
 def test_main_bad_numeric_cell_names_its_row_in_the_file(tmp_path, capsys, preprocessor_fit):
     csv_path, schema_path = _ids_like_csv(tmp_path)
@@ -691,6 +707,30 @@ def test_main_report_names_block_without_metrics(occ_run, tmp_path, capsys, dama
         block["metrics"]["accuracy"]["mean"] = "1.0"
     (damaged / "report.json").write_text(json.dumps(stored))
     assert main(["report", "--run-dir", str(damaged)]) == 3
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "tamper, named",
+    [
+        (lambda stored, name: stored["blocks"][name]["metrics"].update(bogus={"mean": 1.0, "std": 0.0}),
+         ": stored metrics ["),
+        (lambda stored, name: stored["blocks"][name].update(note="added"),
+         ": stored keys ['kind', 'metrics', 'n_models', 'note']"),
+        (lambda stored, name: stored["blocks"][name].update(kind="ensemble"),
+         ".kind: stored 'ensemble' but per-run rows give 'detector'"),
+        (lambda stored, name: stored["blocks"][name].update(n_models=99),
+         ".n_models: stored 99 but per-run rows give 1"),
+        (lambda stored, name: stored.update(n_runs=7), "n_runs: stored 7 but per-run rows hold 3 runs"),
+    ],
+    ids=["bogus-metric", "extra-key", "kind", "n_models", "n_runs"],
+)
+def test_main_report_audits_whole_blocks_and_run_count(occ_run, tmp_path, capsys, tamper, named):
+    damaged = _copy_run(occ_run, tmp_path / "damaged")
+    stored = json.loads((damaged / "report.json").read_text())
+    tamper(stored, next(name for name, block in stored["blocks"].items() if block["kind"] == "detector"))
+    (damaged / "report.json").write_text(json.dumps(stored))
+    assert main(["report", "--run-dir", str(damaged)]) == 4
     assert named in capsys.readouterr().err
 
 

@@ -138,8 +138,8 @@ def test_occ_eval_forks_no_more_workers_than_cells(n_runs, detectors, sizes, tmp
 @pytest.mark.parametrize(
     ("n_runs", "sizes"),
     [
-        (1, [(6, "fork")]),  # 3 combinations (k=0, then k=1 for a1 and a2) x (plain, occ)
-        (2, [(8, "fork")]),  # 12 cells, capped at 8 workers
+        (1, [(4, "fork")]),  # 3 combination cells (k=0, then k=1 for a1 and a2) + 1 one-class cell
+        (2, [(8, "fork")]),  # 8 cells
     ],
 )
 def test_omission_forks_no_more_workers_than_cells(n_runs, sizes, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -330,6 +331,41 @@ def test_omission_occ_arm_runs_once_per_run_on_the_forest_folds(monkeypatch):
     for cell in occ_cells:
         test = calls["split"][cell.run][1]
         assert cell.attack_recall == pytest.approx(100.0 * np.mean(test.X[test.y == 1, 0] > 0.5))
+
+
+def _occ_by_first_feature(run, train, test):
+    return (test.X[:, 0] > 0.5).astype(np.int64)
+
+
+def test_omission_cells_come_in_report_order():
+    demo = generate_gaussian_demo(4, n_normal=120, n_attack=40)
+    plan = OmissionPlan(
+        attack_types=demo.attack_tags(), k_values=(1, 2), split=SplitPlan(n_runs=3, base_seed=2)
+    )
+    result = run_omission_experiment(demo, plan, ForestConfig(n_trees=3), occ=_occ_by_first_feature)
+    arms = ("plain", "noise", "occ")
+    keys = [(c.k, c.combination_id, c.run, arms.index(c.arm)) for c in result.cells]
+    assert keys == sorted(set(keys))
+    assert len(keys) == (1 + 2 + 1) * 3 * len(arms)
+    assert list(result.per_k) == [(k, arm) for k in (0, 1, 2) for arm in arms]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
+def test_omission_occ_runs_once_per_run_on_two_forked_workers(tmp_path):
+    demo = generate_gaussian_demo(4, n_normal=120, n_attack=40)
+    plan = OmissionPlan(
+        attack_types=demo.attack_tags(), k_values=(1, 2), split=SplitPlan(n_runs=10, base_seed=2)
+    )
+    log = tmp_path / "occ-calls.txt"
+
+    def occ(run, train, test):
+        with open(log, "a", encoding="utf-8") as fh:  # the workers are other processes: count in a file
+            fh.write(f"{run}\n")
+        return _occ_by_first_feature(run, train, test)
+
+    forked = run_omission_experiment(demo, plan, ForestConfig(n_trees=3), workers=2, occ=occ)
+    assert sorted(map(int, log.read_text().split())) == list(range(10))
+    assert forked == run_omission_experiment(demo, plan, ForestConfig(n_trees=3), workers=1, occ=occ)
 
 
 def test_omission_unseen_middle_cluster_phenomenon(small_demo_result):
