@@ -26,6 +26,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import operator
 import sys
 import typing
@@ -229,7 +230,12 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
             "seed": (int, seed), "n_normal": (int, DEMO_N_NORMAL),
             "n_attack": (int, DEMO_N_ATTACK), "sigma": (float, DEMO_SIGMA),
         })
-        _require(dataset["demo"]["seed"] >= 0, f"dataset.demo.seed must be >= 0, got {dataset['demo']['seed']}")
+        demo = dataset["demo"]
+        # A stratified split needs two rows of each class; the attack class holds two types.
+        for key, low in (("seed", 0), ("n_normal", 2), ("n_attack", 1)):
+            _require(demo[key] >= low, f"dataset.demo.{key} must be >= {low}, got {demo[key]}")
+        sigma = demo["sigma"]
+        _require(math.isfinite(sigma) and sigma >= 0, f"dataset.demo.sigma must be finite and >= 0, got {sigma}")
     else:
         dataset = _block(top["dataset"], "dataset", {"csv": (str, MISSING), "schema": (str, MISSING)})
 

@@ -36,8 +36,6 @@ __all__ = [
     "fit",
     "score",
     "isolation_path_adjustment",
-    "forest_fit_oracle",
-    "lof_brute_oracle",
     "save_detector",
     "load_detector",
     "load_saved_threshold",
@@ -193,11 +191,11 @@ class _ForestDetector(FittedDetector):
     subsample, the first `subsample` rows of a permutation, then per depth
     _DRAWS uniform doubles for each open node, in level order. A node is open
     while it holds two rows or more and lies above depth
-    ceil(log2(subsample)). A subclass supplies the cut of an open node from
-    its doubles twice: `_cuts` for all open nodes of a depth at once (what
-    `fit` grows with) and `_cut` for one node (what `forest_fit_oracle` grows
-    with). The forest is one node table (`occkit.trees`) whose payload is each
-    leaf's path length, depth + c(mass).
+    ceil(log2(subsample)). A subclass supplies `_cuts`, the cut of every open
+    node of a depth from its doubles at once; the tests hold it to a per-node
+    cut and `forest_fit_oracle` (`tests/oracles.py`). The forest is one node
+    table (`occkit.trees`) whose payload is each leaf's path length,
+    depth + c(mass).
     """
 
     # The node table, in the order `trees.grow` returns it.
@@ -253,30 +251,6 @@ def _growth(config: DetectorConfig, n: int) -> tuple[int, int, list[np.random.Ge
     return effective, limit, [rng_for(config.seed, config.variant, t) for t in range(config.n_trees)]
 
 
-def forest_fit_oracle(config: DetectorConfig, X_normal: np.ndarray) -> FittedDetector:
-    """`fit`'s isolation or stochastic forest grown one tree and one node at a time.
-
-    The same streams, draws and node table as `fit`: each node of a depth, in
-    level order, draws its doubles and is cut by the variant's `_cut`. Serves
-    as the test-time oracle for the batched forest growth.
-    """
-    X = _check_matrix(X_normal)
-    cls = _VARIANT_CLASSES[config.variant]
-    if not issubclass(cls, _ForestDetector):
-        raise ValueError(f"{config.variant!r} is not a forest variant")
-    n, d = X.shape
-    effective, limit, rngs = _growth(config, n)
-
-    def cut(idx: np.ndarray, depth: int, rng: np.random.Generator) -> tuple:
-        split = None
-        if idx.size > 1 and depth < limit:
-            split = cls._cut(X, idx, rng.random(cls._DRAWS))
-        return split, (depth + isolation_path_adjustment(idx.size) if split is None else 0.0)
-
-    table = trees.grow_oracle(X, rngs, lambda rng: rng.permutation(n)[:effective], cut)
-    return cls(config, d, **{name: array for (name, _), array in zip(cls._STATE, table)})
-
-
 class IsolationForestDetector(_ForestDetector):
     """A node cuts one of its spread features, drawn with the first double,
     at a uniform value in [lo, hi) of that feature, set by the second."""
@@ -300,20 +274,6 @@ class IsolationForestDetector(_ForestDetector):
         # value <= hi; a draw on the boundary, or a node with no spread
         # feature (lo == hi), leaves one side empty.
         return feature, value, (lo < value) & (value <= hi)
-
-    @staticmethod
-    def _cut(X: np.ndarray, idx: np.ndarray, u: np.ndarray):
-        sub = X[idx]
-        lo = sub.min(axis=0)
-        hi = sub.max(axis=0)
-        spread = np.flatnonzero(hi > lo)
-        if spread.size == 0:
-            return None
-        feature = int(spread[int(u[0] * spread.size)])
-        value = float(lo[feature] + (hi[feature] - lo[feature]) * u[1])
-        if not lo[feature] < value <= hi[feature]:
-            return None
-        return feature, value
 
 
 class StochasticForestDetector(_ForestDetector):
@@ -340,15 +300,6 @@ class StochasticForestDetector(_ForestDetector):
         first = np.argmax(ok, axis=1)
         node = np.arange(starts.size)
         return feature[node, first], value[node, first], ok.any(axis=1)
-
-    @staticmethod
-    def _cut(X: np.ndarray, idx: np.ndarray, u: np.ndarray):
-        for feature_u, datum_u in u.reshape(-1, 2):
-            feature = int(feature_u * X.shape[1])
-            value = float(X[idx[int(datum_u * idx.size)], feature])
-            if (X[idx, feature] < value).any():
-                return feature, value
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -500,51 +451,6 @@ class LofDetector(FittedDetector):
             lrd_probe = _lrd(np.maximum(self.kdist[cols], dists), counts)
             out[start : start + counts.size] = -_row_means(self.lrd[cols], counts) / lrd_probe
         return out
-
-
-def lof_brute_oracle(X_train: np.ndarray, X_probe: np.ndarray, k: int) -> np.ndarray:
-    """Textbook LOF of each probe against the training set, negated.
-
-    Exhaustive O(n^2) reference: k-distances, reachability distances and
-    local reachability densities are computed point by point. Serves as the
-    test-time oracle for the production lof variant.
-    """
-    X_train = _check_matrix(X_train)
-    X_probe = _check_matrix(X_probe)
-    n = X_train.shape[0]
-    if n <= k:
-        raise ValueError(f"oracle needs more than k={k} training rows, got {n}")
-
-    def dist(a: np.ndarray, b: np.ndarray) -> float:
-        return float(np.sqrt(np.sum((a - b) ** 2)))
-
-    def lrd_of(reach: np.ndarray) -> float:
-        mean_reach = float(np.mean(reach))
-        return LRD_SENTINEL if mean_reach == 0.0 else 1.0 / mean_reach
-
-    pair = np.array([[dist(X_train[i], X_train[j]) for j in range(n)] for i in range(n)])
-    kdist = np.empty(n, dtype=np.float64)
-    lrd = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        others = pair[i].copy()
-        others[i] = np.inf
-        kdist[i] = np.sort(others)[k - 1]
-    for i in range(n):
-        others = pair[i].copy()
-        others[i] = np.inf
-        nb = np.flatnonzero(others <= kdist[i])
-        reach = np.maximum(kdist[nb], others[nb])
-        lrd[i] = lrd_of(reach)
-
-    scores = np.empty(X_probe.shape[0], dtype=np.float64)
-    for p in range(X_probe.shape[0]):
-        d = np.array([dist(X_probe[p], X_train[j]) for j in range(n)])
-        kd = np.sort(d)[k - 1]
-        nb = np.flatnonzero(d <= kd)
-        reach = np.maximum(kdist[nb], d[nb])
-        lrd_probe = lrd_of(reach)
-        scores[p] = -float(np.mean(lrd[nb])) / lrd_probe
-    return scores
 
 
 # ---------------------------------------------------------------------------

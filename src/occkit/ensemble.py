@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PredictionMatrix", "consensus", "all_levels"]
+__all__ = ["PredictionMatrix", "consensus"]
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,3 @@ def consensus(matrix: PredictionMatrix, k: int) -> np.ndarray:
         raise ValueError(f"consensus level k={k} out of range 1..{matrix.n_models}")
     votes = matrix.preds.sum(axis=0)
     return (votes >= k).astype(np.int64)
-
-
-def all_levels(matrix: PredictionMatrix) -> dict[int, np.ndarray]:
-    """Consensus predictions for every level k = 1..n_models."""
-    return {k: consensus(matrix, k) for k in range(1, matrix.n_models + 1)}

@@ -3,9 +3,10 @@
 A plain CART ensemble (gini splits, bootstrap resampling, random feature
 subsets per node) built here so tree internals stay inspectable and
 deterministic. The forest is one flat node table (`occkit.trees`). `rf_fit`
-hands `trees.grow` the batched gini rule `_best_cuts`; `rf_fit_oracle` hands
-`trees.grow_oracle` the per-node rule `_best_split` and is its test oracle;
-`rf_predict` counts the trees' votes with `trees.leaf_sums`.
+hands `trees.grow` the batched gini rule `_best_cuts`, and `rf_predict`
+counts the trees' votes with `trees.leaf_sums`. The tests hold `rf_fit` to a
+node-by-node reference, `rf_fit_oracle` with the per-node rule `_best_split`
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "ForestModel",
     "gini_impurity",
     "rf_fit",
-    "rf_fit_oracle",
     "rf_predict",
 ]
 
@@ -85,44 +85,6 @@ def gini_impurity(class_counts: Sequence[int]) -> float:
     return 1.0 - sum((c / total) ** 2 for c in counts)
 
 
-def _best_split(
-    X: np.ndarray, y: np.ndarray, idx: np.ndarray, features: np.ndarray, min_leaf: int
-) -> tuple[int, float] | None:
-    """Gini-minimizing (feature, midpoint threshold) for one node, or None."""
-    node_y = y[idx]
-    n = idx.size
-    total_ones = int(node_y.sum())
-    total_zeros = n - total_ones
-    best_score = np.inf
-    best: tuple[int, float] | None = None
-    for f in features:
-        values = X[idx, f]
-        order = np.argsort(values, kind="stable")
-        vs = values[order]
-        ys = node_y[order]
-        cut_ok = vs[1:] > vs[:-1]
-        if not cut_ok.any():
-            continue
-        n_left = np.arange(1, n)
-        ones_left = np.cumsum(ys)[:-1]
-        zeros_left = n_left - ones_left
-        ones_right = total_ones - ones_left
-        zeros_right = total_zeros - zeros_left
-        n_right = n - n_left
-        gini_left = 1.0 - (zeros_left / n_left) ** 2 - (ones_left / n_left) ** 2
-        gini_right = 1.0 - (zeros_right / n_right) ** 2 - (ones_right / n_right) ** 2
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        valid = cut_ok & (n_left >= min_leaf) & (n_right >= min_leaf)
-        if not valid.any():
-            continue
-        weighted = np.where(valid, weighted, np.inf)
-        j = int(np.argmin(weighted))
-        if weighted[j] < best_score:
-            best_score = float(weighted[j])
-            best = (int(f), float((vs[j] + vs[j + 1]) / 2.0))
-    return best
-
-
 def _training_inputs(
     X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int | None
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
@@ -163,7 +125,7 @@ def rf_fit(
     argsort lists first (n_split of them, in that order) and takes the cut of
     lowest weighted gini: the earliest feature, then the lowest threshold,
     among equals. Trees grow together in chunks; the table does not depend on
-    the chunking, and equals rf_fit_oracle's.
+    the chunking, and equals that of rf_fit_oracle in tests/oracles.py.
 
     Raises:
         ValueError: with fewer than 2 rows or a single class in y.
@@ -228,7 +190,8 @@ def _best_cuts(
     Element i belongs to open node seg[i], which tries features[seg[i]] in
     order. Per feature slot, one integer argsort puts the elements in (node,
     rank) order; each node's run of elements then gives every cut's class
-    counts by cumulative sums. Same arithmetic and tie order as _best_split.
+    counts by cumulative sums. Same arithmetic and tie order as the per-node
+    _best_split in tests/oracles.py.
     """
     n, d = X.shape
     flat_X = X.ravel()
@@ -280,7 +243,7 @@ def _best_cuts(
 
 
 def _gini(zeros: np.ndarray, ones: np.ndarray, size: np.ndarray) -> np.ndarray:
-    """1 - (zeros/size)^2 - (ones/size)^2, rounded step by step as _best_split does."""
+    """1 - (zeros/size)^2 - (ones/size)^2, rounded step by step as tests/oracles.py's _best_split does."""
     gini = np.divide(zeros, size)
     np.square(gini, out=gini)
     np.subtract(1.0, gini, out=gini)
@@ -288,31 +251,6 @@ def _gini(zeros: np.ndarray, ones: np.ndarray, size: np.ndarray) -> np.ndarray:
     np.square(attack, out=attack)
     gini -= attack
     return gini
-
-
-def rf_fit_oracle(
-    X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), seed: int | None = None
-) -> ForestModel:
-    """rf_fit's forest grown one tree and one node at a time through _best_split.
-
-    The same streams, draws and node table as rf_fit, with each bag kept as
-    drawn (repeated rows and all) and each depth's nodes visited in level
-    order. The test oracle for rf_fit, as lof_brute_oracle is for the lof
-    detector.
-    """
-    X, y, n_split, seed = _training_inputs(X, y, config, seed)
-    n, d = X.shape
-
-    def cut(idx: np.ndarray, depth: int, rng: np.random.Generator) -> tuple:
-        total, ones = idx.size, int(y[idx].sum())
-        counts = (total - ones, ones)
-        if not _splittable(np.array(total), np.array(ones), depth, config):
-            return None, counts
-        features = _features(rng.random((1, d)), n_split)[0]
-        return _best_split(X, y, idx, features, config.min_leaf), counts
-
-    rngs = [rng_for(seed, "tree", t) for t in range(config.n_trees)]
-    return _model(trees.grow_oracle(X, rngs, lambda rng: rng.integers(0, n, size=n), cut), config, d)
 
 
 def rf_predict(model: ForestModel, X: np.ndarray) -> np.ndarray:

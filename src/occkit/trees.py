@@ -8,9 +8,10 @@ class counts, a detector tree's path length).
 
 `grow` builds the table of every forest: the trees of a chunk grow together,
 one depth per step, and a forest supplies only its batched split rule, which
-picks one cut per open node of a depth. `grow_oracle` builds the same table
-one tree and one node at a time and is its test oracle. `leaf_sums` adds up
-the payload of the leaf each row reaches in every tree.
+picks one cut per open node of a depth. `leaf_sums` adds up the payload of
+the leaf each row reaches in every tree. The tests hold `grow` to
+`grow_oracle` (`tests/oracles.py`), which builds the same table one tree and
+one node at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["Level", "grow", "grow_oracle", "leaf_sums"]
+__all__ = ["Level", "grow", "leaf_sums"]
 
 # Most (tree, row) pairs a forest is grown or walked with at once, level by
 # level: `grow` takes trees in chunks of max(1, _CHUNK_PAIRS // pairs_per_tree),
@@ -147,52 +148,6 @@ def _grow_together(
     left[left >= 0] = new_id[left[left >= 0]]
     roots = np.searchsorted(tree[order], np.arange(len(rngs))).astype(np.int32)
     return feature[order], value[order], left, roots, payload[order]
-
-
-def grow_oracle(
-    X: np.ndarray,
-    rngs: Sequence[np.random.Generator],
-    sample: Callable[[np.random.Generator], np.ndarray],
-    cut: Callable[[np.ndarray, int, np.random.Generator], tuple],
-) -> tuple[np.ndarray, ...]:
-    """grow's table built one tree at a time and one node at a time, in level order.
-
-    Tree t's rows are sample(rngs[t]), kept as drawn (repeats and all); each
-    node's rows keep that order. cut(idx, depth, rng) returns the node's
-    (feature, value) cut, or None for a leaf, and its payload, drawing from
-    the tree's stream as it goes. The test oracle for grow.
-    """
-    feature, value, left, roots, payload = [], [], [], [], []
-    for rng in rngs:
-        roots.append(len(feature))
-        level = [sample(rng)]
-        depth = 0
-        while level:
-            first_child = len(feature) + len(level)
-            children = []
-            for idx in level:
-                split, node_payload = cut(idx, depth, rng)
-                payload.append(node_payload)
-                if split is None:
-                    feature.append(-1)
-                    value.append(0.0)
-                    left.append(-1)
-                    continue
-                f, v = split
-                feature.append(f)
-                value.append(v)
-                left.append(first_child + len(children))
-                going_left = X[idx, f] < v
-                children += [idx[going_left], idx[~going_left]]
-            level = children
-            depth += 1
-    return (
-        np.array(feature, dtype=np.int32),
-        np.array(value, dtype=np.float64),
-        np.array(left, dtype=np.int32),
-        np.array(roots, dtype=np.int32),
-        np.array(payload),
-    )
 
 
 def leaf_sums(

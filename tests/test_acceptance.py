@@ -27,11 +27,12 @@ from occkit.dataset import (
     omit_attack_types,
     stratified_split,
 )
-from occkit.detectors import DetectorConfig, fit, lof_brute_oracle, score
-from occkit.ensemble import PredictionMatrix, all_levels
+from occkit.detectors import DetectorConfig, fit, score
+from occkit.ensemble import PredictionMatrix
 from occkit.metrics import ConfusionCounts, class_metrics, confusion, macro_f1
 from occkit.seeding import derive_seed
 from occkit.supervised import ForestConfig, OmissionPlan, run_omission_experiment
+from oracles import all_levels, lof_brute_oracle
 
 
 class _Criterion:

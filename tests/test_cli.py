@@ -135,13 +135,22 @@ def _with_forest(**settings):
         ("occ-eval", {"seed": -1}, "config.seed must be >= 0, got -1"),
         ("omission", {"split": {"base_seed": -4}}, "split: base_seed must be >= 0, got -4"),
         ("occ-eval", {"dataset": {"demo": {"seed": -2}}}, "dataset.demo.seed must be >= 0, got -2"),
+        ("occ-eval", {"dataset": {"demo": {"n_normal": 0}}}, "dataset.demo.n_normal must be >= 2, got 0"),
+        ("occ-eval", {"dataset": {"demo": {"n_normal": 1}}}, "dataset.demo.n_normal must be >= 2, got 1"),
+        ("omission", {"dataset": {"demo": {"n_normal": -5}}}, "dataset.demo.n_normal must be >= 2, got -5"),
+        ("occ-eval", {"dataset": {"demo": {"n_attack": 0}}}, "dataset.demo.n_attack must be >= 1, got 0"),
+        ("occ-eval", {"dataset": {"demo": {"sigma": -1}}}, "dataset.demo.sigma must be finite and >= 0, got -1.0"),
+        ("omission", {"dataset": {"demo": {"sigma": float("nan")}}}, "dataset.demo.sigma must be finite and >= 0, got nan"),
+        ("occ-eval", {"dataset": {"demo": {"sigma": float("inf")}}}, "dataset.demo.sigma must be finite and >= 0, got inf"),
         ("occ-eval", {"ensemble": {"members": []}}, "ensemble.members is empty"),
     ],
     ids=[
         "seed", "dataset.demo", "split", "detector", "ensemble.members", "ensemble.levels",
         "omission.k_values", "omission.with_noise", "omission.rf-type", "omission.rf-range",
         "omission.combination_cap", "seed-negative", "split.base_seed-negative",
-        "dataset.demo.seed-negative", "ensemble.members-empty",
+        "dataset.demo.seed-negative", "dataset.demo.n_normal-zero", "dataset.demo.n_normal-one",
+        "dataset.demo.n_normal-negative", "dataset.demo.n_attack-zero", "dataset.demo.sigma-negative",
+        "dataset.demo.sigma-nan", "dataset.demo.sigma-infinite", "ensemble.members-empty",
     ],
 )
 def test_main_rejects_a_wrong_typed_value_in_every_block(command, overrides, named, tmp_path, capsys):
@@ -149,6 +158,15 @@ def test_main_rejects_a_wrong_typed_value_in_every_block(command, overrides, nam
     assert main([command, "--config", str(_occ_config(tmp_path, **overrides)), "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_main_runs_the_smallest_demo_sizes_the_config_accepts(tmp_path):
+    overrides = {
+        "dataset": {"demo": {"n_normal": 2, "n_attack": 1}},
+        "split": {"n_runs": 1},
+        "detectors": {"isolation-forest": SMALL_DETECTORS["isolation-forest"]},
+    }
+    assert main(["occ-eval", "--config", str(_occ_config(tmp_path, **overrides)), "--out", str(tmp_path)]) == 0
 
 
 def _readme_example(tmp_path):

@@ -18,13 +18,12 @@ from occkit.detectors import (
     VARIANTS,
     _path_adjustments,
     fit,
-    forest_fit_oracle,
     isolation_path_adjustment,
     load_detector,
-    lof_brute_oracle,
     save_detector,
     score,
 )
+from oracles import forest_fit_oracle, lof_brute_oracle
 
 EULER_MASCHERONI = 0.5772156649
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from occkit.ensemble import PredictionMatrix, all_levels, consensus
+from occkit.ensemble import PredictionMatrix, consensus
+from oracles import all_levels
 
 
 def _matrix(rows):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from occkit import supervised, trees
 from occkit.dataset import Dataset, SplitPlan, generate_gaussian_demo
-from occkit.forest import rf_fit_oracle
 from occkit.supervised import (
     ForestConfig,
     ForestModel,
@@ -21,6 +20,7 @@ from occkit.supervised import (
     rf_predict,
     run_omission_experiment,
 )
+from oracles import rf_fit_oracle
 
 
 def _blobs(seed=0, n=50, centers=((0.2, 0.2), (0.8, 0.8))):
@@ -168,8 +168,20 @@ def _forest_cases(draw):
     rng = np.random.default_rng(seed)
     # Few decimals and a small value range force tied values and duplicate rows.
     X = np.round(rng.uniform(0, draw(st.sampled_from([1.0, 3.0])), size=(n, d)), draw(st.integers(0, 2)))
-    y = rng.integers(0, 2, size=n)
-    y[: 2] = (0, 1)
+    if draw(st.booleans()):
+        # A threshold on one column: each class is one long run of that
+        # column's sorted values, so most cuts fall inside a one-class run.
+        j = rng.integers(d)
+        y = (X[:, j] > rng.uniform(X[:, j].min(), X[:, j].max())).astype(np.int64)
+    else:
+        y = rng.integers(0, 2, size=n)
+    if y.min() == y.max():
+        y[: 2] = (0, 1)
+    if draw(st.booleans()):
+        # A block of uniform attack rows in the unit cube, as the noise arm appends.
+        m = draw(st.integers(1, n))
+        X = np.vstack([X, rng.uniform(0, 1, size=(m, d))])
+        y = np.concatenate([y, np.ones(m, dtype=np.int64)])
     config = ForestConfig(
         n_trees=draw(st.integers(1, 12)),
         max_depth=draw(st.one_of(st.none(), st.integers(1, 6))),

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from occkit import trees
-from occkit.detectors import (
-    DetectorConfig,
-    StochasticForestDetector,
-    fit,
-    forest_fit_oracle,
-    score,
-)
+from occkit.detectors import DetectorConfig, fit, score
 from occkit.forest import ForestConfig, rf_fit, rf_predict
+from oracles import CUTS, forest_fit_oracle
 
 
 def test_oracle_grower_cuts_level_by_level_left_before_right(monkeypatch):
@@ -20,7 +15,7 @@ def test_oracle_grower_cuts_level_by_level_left_before_right(monkeypatch):
         visits.append(tuple(sorted(X[idx, 0].tolist())))
         return 0, float(np.median(X[idx, 0]))
 
-    monkeypatch.setattr(StochasticForestDetector, "_cut", staticmethod(halve))
+    monkeypatch.setitem(CUTS, "stochastic-forest", halve)
     det = forest_fit_oracle(DetectorConfig(variant="stochastic-forest", n_trees=1, subsample=8), X)
     assert visits == [
         (0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3), (4, 5, 6, 7), (0, 1), (2, 3), (4, 5), (6, 7)
