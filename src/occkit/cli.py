@@ -246,10 +246,9 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
         preprocessor_fit in ("full", "train"),
         f"preprocessor_fit must be 'full' or 'train', got {preprocessor_fit!r}",
     )
-    _require(
-        not (preprocessor_fit == "train" and experiment == "omission"),
-        "leak-free preprocessor_fit='train' is only supported for occ-eval",
-    )
+    if preprocessor_fit == "train":
+        _require(experiment == "occ-eval", "leak-free preprocessor_fit='train' is only supported for occ-eval")
+        _require("csv" in dataset, "preprocessor_fit='train' needs a CSV dataset; the demo dataset has no preprocessor")
 
     _require(top["detectors"], "'detectors' must be a non-empty object")
     detectors, resolved_detectors = {}, {}
@@ -317,11 +316,11 @@ class _DataSource:
     """Produces each run's (normal training rows, test) datasets, honoring the leak-free flag."""
 
     def __init__(self, config: ExperimentConfig) -> None:
-        self._dataset: Dataset | None = None
+        self.dataset: Dataset | None = None  # None only under preprocessor_fit='train': occ-eval on a CSV
         self._last: tuple[int, tuple[Dataset, Dataset]] | None = None
         entry = config.dataset
         if "demo" in entry:
-            self._dataset = generate_gaussian_demo(**entry["demo"])
+            self.dataset = generate_gaussian_demo(**entry["demo"])
             return
         schema = load_schema(entry["schema"])
         table = load_csv(entry["csv"], schema)
@@ -330,13 +329,7 @@ class _DataSource:
             self._schema = schema
             self._y, _ = extract_labels(table, schema)
         else:
-            self._dataset = apply_preprocessor(fit_preprocessor(table, schema), table, schema)
-
-    @property
-    def dataset(self) -> Dataset:
-        if self._dataset is None:
-            raise ConfigError("this experiment needs preprocessor_fit='full' (or a demo dataset)")
-        return self._dataset
+            self.dataset = apply_preprocessor(fit_preprocessor(table, schema), table, schema)
 
     def split_for_run(self, plan: SplitPlan, run: int) -> tuple[Dataset, Dataset]:
         """(normal rows of the training fold, test fold) of `run`.
@@ -350,8 +343,8 @@ class _DataSource:
         return self._last[1]
 
     def _split(self, plan: SplitPlan, run: int) -> tuple[Dataset, Dataset]:
-        if self._dataset is not None:
-            train, test = stratified_split(self._dataset, plan, run)
+        if self.dataset is not None:
+            train, test = stratified_split(self.dataset, plan, run)
             return filter_normal(train), test
         train_idx, test_idx = split_indices(self._y, plan, run)
         train_table = self._table.subset(train_idx)
@@ -446,9 +439,7 @@ def _occ_rows_for_run(
     config: ExperimentConfig, run: int, y_test: np.ndarray, preds_by_name: dict[str, np.ndarray]
 ) -> list[dict]:
     members = config.ensemble_members
-    matrix = PredictionMatrix(
-        preds=np.array([preds_by_name[m] for m in members]), model_names=members
-    )
+    matrix = PredictionMatrix(np.array([preds_by_name[m] for m in members]))
     models = [(name, "detector", 1, preds) for name, preds in preds_by_name.items()] + [
         (f"ensemble-{k}", "ensemble", len(members), consensus(matrix, k))
         for k in config.ensemble_levels
@@ -638,8 +629,12 @@ def _same(stored: object, recomputed: object) -> bool:
     return type(stored) is type(recomputed) and stored == recomputed
 
 
-def _compare_blocks(stored: object, recomputed: dict, tol: float = 1e-9) -> None:
-    """Check every stored block against its rebuild: its keys, its non-metric values and each metric."""
+def _compare_blocks(stored: object, recomputed: dict) -> None:
+    """Check every stored block against its rebuild: its keys, its non-metric values and each metric.
+
+    A metric must match exactly: the rebuild applies the run's own rule to the
+    same CSV text, and JSON keeps a float's repr, which reads back exactly.
+    """
     if not isinstance(stored, dict):
         raise ValueError("report.json 'blocks' is not an object")
     if set(stored) != set(recomputed):
@@ -663,7 +658,7 @@ def _compare_blocks(stored: object, recomputed: dict, tol: float = 1e-9) -> None
                 raise ValueError(f"report.json block {name!r} metric {metric!r} is not an object of numbers")
             for field in ("mean", "std"):
                 got, want = stats[field], stored_stats.get(field)
-                if want is None or not abs(got - want) <= tol:  # a NaN on either side fails too
+                if want is None or got != want:  # a NaN on either side fails too
                     raise ConsistencyError(
                         f"{name}.{metric}.{field}: stored {want!r} but per-run rows give {got!r}"
                     )

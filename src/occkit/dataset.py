@@ -148,10 +148,6 @@ class RawTable:
     def row_count(self) -> int:
         return len(next(iter(self.columns.values())))
 
-    @property
-    def col_count(self) -> int:
-        return len(self.header)
-
     def subset(self, indices: Sequence[int]) -> RawTable:
         idx = np.asarray(indices, dtype=np.int64)
         columns = {name: column[idx] for name, column in self.columns.items()}
@@ -607,7 +603,6 @@ def generate_gaussian_demo(
     n_normal: int = DEMO_N_NORMAL,
     n_attack: int = DEMO_N_ATTACK,
     sigma: float = DEMO_SIGMA,
-    centers: dict[str, tuple[float, float]] | None = None,
 ) -> Dataset:
     """Three well-separated 2-D Gaussian clusters inside the unit square.
 
@@ -616,11 +611,10 @@ def generate_gaussian_demo(
     at least six pooled standard deviations apart so cluster identity is
     unambiguous.
     """
-    centers = dict(DEMO_CENTERS if centers is None else centers)
     rng = np.random.default_rng([seed, 0x6D0])
-    sizes = [n_normal if name == "normal" else n_attack for name in centers]
-    X = np.vstack([rng.normal(loc=c, scale=sigma, size=(n, 2)) for c, n in zip(centers.values(), sizes)])
-    tags = np.repeat(np.array(["" if name == "normal" else name for name in centers], object), sizes)
+    sizes = [n_normal if name == "normal" else n_attack for name in DEMO_CENTERS]
+    X = np.vstack([rng.normal(loc=c, scale=sigma, size=(n, 2)) for c, n in zip(DEMO_CENTERS.values(), sizes)])
+    tags = np.repeat(np.array(["" if name == "normal" else name for name in DEMO_CENTERS], object), sizes)
     return Dataset(X=X, y=(tags != "").astype(np.int64), attack_type=tags, feature_names=("x1", "x2"))
 
 

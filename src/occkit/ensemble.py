@@ -19,16 +19,11 @@ class PredictionMatrix:
     """n_models x m_instances matrix of 0/1 attack votes, one row per model."""
 
     preds: np.ndarray
-    model_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
         preds = np.asarray(self.preds, dtype=np.int64)
         if preds.ndim != 2:
             raise ValueError(f"preds must be 2-D, got shape {preds.shape}")
-        if preds.shape[0] != len(self.model_names):
-            raise ValueError(
-                f"{preds.shape[0]} prediction rows but {len(self.model_names)} model names"
-            )
         if preds.size and not np.isin(preds, (0, 1)).all():
             raise ValueError("predictions must be 0 or 1")
         object.__setattr__(self, "preds", preds)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .seeding import rng_for
 __all__ = [
     "ForestConfig",
     "ForestModel",
-    "gini_impurity",
     "rf_fit",
     "rf_predict",
 ]
@@ -37,7 +35,6 @@ class ForestConfig:
     max_depth: int | None = None
     min_leaf: int = 1
     features_per_split: int | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
@@ -70,25 +67,10 @@ class ForestModel:
     feature_count: int
 
 
-def gini_impurity(class_counts: Sequence[int]) -> float:
-    """1 - sum((c_i / total)^2) over the class counts.
-
-    Raises:
-        ValueError: if any count is negative or all counts are zero.
-    """
-    counts = list(class_counts)
-    if any(c < 0 for c in counts):
-        raise ValueError(f"class counts must be non-negative, got {counts}")
-    total = sum(counts)
-    if total == 0:
-        raise ValueError("class counts are all zero")
-    return 1.0 - sum((c / total) ** 2 for c in counts)
-
-
 def _training_inputs(
-    X: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int | None
-) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Checked (X, y), the features tried per node, and the forest seed."""
+    X: np.ndarray, y: np.ndarray, config: ForestConfig
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Checked (X, y) and the features tried per node."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or y.shape != (X.shape[0],):
@@ -99,7 +81,7 @@ def _training_inputs(
     if len(np.unique(y)) < 2:
         raise ValueError("training data must contain both classes")
     n_split = min(config.features_per_split or math.ceil(math.sqrt(d)), d)
-    return X, y, n_split, config.seed if seed is None else seed
+    return X, y, n_split
 
 
 def _splittable(total: np.ndarray, ones: np.ndarray, depth: int, config: ForestConfig) -> np.ndarray:
@@ -114,9 +96,7 @@ def _features(keys: np.ndarray, n_split: int) -> np.ndarray:
     return np.argsort(keys, axis=1, kind="stable")[:, :n_split]
 
 
-def rf_fit(
-    X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), seed: int | None = None
-) -> ForestModel:
+def rf_fit(X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), seed: int = 0) -> ForestModel:
     """Grow a forest of CART trees on bootstrap resamples, level by level.
 
     Tree t draws from its own stream rng_for(seed, "tree", t): its bootstrap
@@ -130,7 +110,7 @@ def rf_fit(
     Raises:
         ValueError: with fewer than 2 rows or a single class in y.
     """
-    X, y, n_split, seed = _training_inputs(X, y, config, seed)
+    X, y, n_split = _training_inputs(X, y, config)
     n, d = X.shape
     # ranks[f * n + i] is row i's position in column f sorted, so one integer
     # sort orders the rows of every node by that node's own feature.

@@ -26,7 +26,7 @@ from .dataset import (
     omit_attack_types,
     stratified_split,
 )
-from .forest import ForestConfig, ForestModel, gini_impurity, rf_fit, rf_predict
+from .forest import ForestConfig, ForestModel, rf_fit, rf_predict
 from .metrics import aggregate, confusion, metric_row
 from .seeding import derive_seed, rng_for
 
@@ -36,7 +36,6 @@ __all__ = [
     "OmissionPlan",
     "OmissionCell",
     "OmissionResult",
-    "gini_impurity",
     "rf_fit",
     "rf_predict",
     "augment_with_noise",
@@ -162,12 +161,14 @@ def run_omission_experiment(
     arm) is scored through a constant all-normal predictor, which is what an
     attack-blind supervised model degenerates to. A grid cell is one (run,
     combination): it omits the combination once, then fits the plain and the
-    noise forest. Given `occ(run, train, test) -> predictions`, each run has
-    one more cell, first among its run's, for the "occ" arm: the one-class
-    model never sees an attack, so it calls `occ` once per run at any worker
-    count and scores those predictions against every combination. The cells
-    run on up to `workers` forked processes; `cells` comes in (k,
-    combination_id, run, arm) order and does not depend on `workers`.
+    noise forest. A withheld type that the stratified split put wholly in the
+    test fold has no training row to omit; the cell omits the rest. Given
+    `occ(run, train, test) -> predictions`, each run has one more cell, first
+    among its run's, for the "occ" arm: the one-class model never sees an
+    attack, so it calls `occ` once per run at any worker count and scores
+    those predictions against every combination. The cells run on up to
+    `workers` forked processes; `cells` comes in (k, combination_id, run,
+    arm) order and does not depend on `workers`.
     """
     present = set(data.attack_tags())
     for tag in plan.attack_types:
@@ -192,7 +193,8 @@ def run_omission_experiment(
             preds = occ(run, train, test)
             return [_omission_cell(*combo, run, "occ", test, preds) for combo in combos]
         k, combo_id, combo = block
-        omitted = omit_attack_types(train, combo)
+        held = set(train.attack_tags())
+        omitted = omit_attack_types(train, [tag for tag in combo if tag in held])
         noise_seed = derive_seed(plan.split.base_seed, "noise", run)
         out = []
         for arm in forest_arms:

@@ -83,7 +83,7 @@ def _best_split(
 
 
 def rf_fit_oracle(
-    X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), seed: int | None = None
+    X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), seed: int = 0
 ) -> ForestModel:
     """rf_fit's forest grown one tree and one node at a time through _best_split.
 
@@ -92,7 +92,7 @@ def rf_fit_oracle(
     order. The test oracle for rf_fit, as lof_brute_oracle is for the lof
     detector.
     """
-    X, y, n_split, seed = _training_inputs(X, y, config, seed)
+    X, y, n_split = _training_inputs(X, y, config)
     n, d = X.shape
 
     def cut(idx: np.ndarray, depth: int, rng: np.random.Generator) -> tuple:

@@ -89,7 +89,7 @@ def test_criterion_2_ensemble_nesting():
         n = int(rng.integers(1, 8))
         m = int(rng.integers(1, 51))
         preds = rng.integers(0, 2, size=(n, m))
-        matrix = PredictionMatrix(preds=preds, model_names=tuple(f"m{i}" for i in range(n)))
+        matrix = PredictionMatrix(preds)
         levels = all_levels(matrix)
         ok &= np.array_equal(levels[1], preds.any(axis=0).astype(int))
         ok &= np.array_equal(levels[n], preds.all(axis=0).astype(int))

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -143,6 +144,7 @@ def _with_forest(**settings):
         ("omission", {"dataset": {"demo": {"sigma": float("nan")}}}, "dataset.demo.sigma must be finite and >= 0, got nan"),
         ("occ-eval", {"dataset": {"demo": {"sigma": float("inf")}}}, "dataset.demo.sigma must be finite and >= 0, got inf"),
         ("occ-eval", {"ensemble": {"members": []}}, "ensemble.members is empty"),
+        ("occ-eval", {"preprocessor_fit": "train"}, "preprocessor_fit='train' needs a CSV dataset"),
     ],
     ids=[
         "seed", "dataset.demo", "split", "detector", "ensemble.members", "ensemble.levels",
@@ -151,6 +153,7 @@ def _with_forest(**settings):
         "dataset.demo.seed-negative", "dataset.demo.n_normal-zero", "dataset.demo.n_normal-one",
         "dataset.demo.n_normal-negative", "dataset.demo.n_attack-zero", "dataset.demo.sigma-negative",
         "dataset.demo.sigma-nan", "dataset.demo.sigma-infinite", "ensemble.members-empty",
+        "preprocessor_fit-demo",
     ],
 )
 def test_main_rejects_a_wrong_typed_value_in_every_block(command, overrides, named, tmp_path, capsys):
@@ -166,7 +169,9 @@ def test_main_runs_the_smallest_demo_sizes_the_config_accepts(tmp_path):
         "split": {"n_runs": 1},
         "detectors": {"isolation-forest": SMALL_DETECTORS["isolation-forest"]},
     }
-    assert main(["occ-eval", "--config", str(_occ_config(tmp_path, **overrides)), "--out", str(tmp_path)]) == 0
+    config = str(_occ_config(tmp_path, **overrides))
+    for command in ("occ-eval", "omission"):  # omission's training fold holds no "a2" row here
+        assert main([command, "--config", config, "--out", str(tmp_path)]) == 0, command
 
 
 def _readme_example(tmp_path):
@@ -728,6 +733,12 @@ def test_main_report_names_block_without_metrics(occ_run, tmp_path, capsys, dama
     assert named in capsys.readouterr().err
 
 
+def _nudge_accuracy_mean(stored, name):
+    """Move a stored mean by one ulp: the audit compares exactly."""
+    stats = stored["blocks"][name]["metrics"]["accuracy"]
+    stats["mean"] = math.nextafter(stats["mean"], math.inf)
+
+
 @pytest.mark.parametrize(
     "tamper, named",
     [
@@ -740,8 +751,9 @@ def test_main_report_names_block_without_metrics(occ_run, tmp_path, capsys, dama
         (lambda stored, name: stored["blocks"][name].update(n_models=99),
          ".n_models: stored 99 but per-run rows give 1"),
         (lambda stored, name: stored.update(n_runs=7), "n_runs: stored 7 but per-run rows hold 3 runs"),
+        (_nudge_accuracy_mean, ".accuracy.mean: stored "),
     ],
-    ids=["bogus-metric", "extra-key", "kind", "n_models", "n_runs"],
+    ids=["bogus-metric", "extra-key", "kind", "n_models", "n_runs", "mean-one-ulp"],
 )
 def test_main_report_audits_whole_blocks_and_run_count(occ_run, tmp_path, capsys, tamper, named):
     damaged = _copy_run(occ_run, tmp_path / "damaged")

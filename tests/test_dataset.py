@@ -48,7 +48,7 @@ def test_load_csv_basic(tmp_path):
     )
     table = load_csv(path, SCHEMA)
     assert table.row_count == 3
-    assert table.col_count == 4
+    assert len(table.header) == 4
 
 
 def test_load_csv_empty_cell_is_missing(tmp_path):
@@ -220,7 +220,7 @@ def test_non_numeric_cell_names_column_and_data_row(tmp_path):
 def test_header_only_csv_is_an_empty_table(tmp_path):
     table = _table(tmp_path, "")
     assert table.row_count == 0
-    assert table.col_count == 4
+    assert len(table.header) == 4
     with pytest.raises(ValueError, match="empty table"):
         fit_preprocessor(table, SCHEMA)
 

@@ -6,9 +6,7 @@ from oracles import all_levels
 
 
 def _matrix(rows):
-    preds = np.array(rows)
-    names = tuple(f"m{i}" for i in range(preds.shape[0]))
-    return PredictionMatrix(preds=preds, model_names=names)
+    return PredictionMatrix(np.array(rows))
 
 
 def test_single_column_vote_levels():
@@ -88,7 +86,7 @@ def test_row_permutation_invariance():
 
 
 def test_matrix_validation():
-    with pytest.raises(ValueError, match="model names"):
-        PredictionMatrix(preds=np.zeros((2, 3), dtype=int), model_names=("a",))
+    with pytest.raises(ValueError, match="2-D"):
+        PredictionMatrix(np.zeros(3, dtype=int))
     with pytest.raises(ValueError, match="0 or 1"):
-        PredictionMatrix(preds=np.array([[2, 0]]), model_names=("a",))
+        PredictionMatrix(np.array([[2, 0]]))

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occkit import supervised, trees
-from occkit.dataset import Dataset, SplitPlan, generate_gaussian_demo
+from occkit.dataset import Dataset, SplitPlan, generate_gaussian_demo, stratified_split
 from occkit.supervised import (
     ForestConfig,
     ForestModel,
     OmissionPlan,
     augment_with_noise,
     enumerate_combinations,
-    gini_impurity,
     rf_fit,
     rf_predict,
     run_omission_experiment,
@@ -28,29 +27,6 @@ def _blobs(seed=0, n=50, centers=((0.2, 0.2), (0.8, 0.8))):
     X = np.vstack([rng.normal(c, 0.03, size=(n, 2)) for c in centers])
     y = np.array([0] * n + [1] * n)
     return X, y
-
-
-# ---------------------------------------------------------------------------
-# gini
-
-
-def test_gini_pure_node():
-    assert gini_impurity([10, 0]) == 0.0
-
-
-def test_gini_even_split():
-    assert gini_impurity([5, 5]) == 0.5
-
-
-def test_gini_weighted():
-    assert gini_impurity([2, 6]) == pytest.approx(0.375)
-
-
-def test_gini_rejects_bad_counts():
-    with pytest.raises(ValueError):
-        gini_impurity([0, 0])
-    with pytest.raises(ValueError):
-        gini_impurity([-1, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +414,25 @@ def test_omission_rejects_unknown_attack_type():
     plan = OmissionPlan(attack_types=("zzz",), k_values=(1,), split=SplitPlan(n_runs=1))
     with pytest.raises(ValueError, match="not present"):
         run_omission_experiment(demo, plan, ForestConfig(n_trees=2))
+
+
+def test_omission_grid_finishes_when_a_training_fold_lacks_a_withheld_type():
+    rng = np.random.default_rng(21)
+    X = rng.uniform(size=(60 + 32, 2))
+    y = np.array([0] * 60 + [1] * 32)
+    attack_type = ("",) * 60 + ("a1",) * 30 + ("rare",) * 2
+    data = Dataset(X=X, y=y, attack_type=attack_type, feature_names=("f0", "f1"))
+    split = SplitPlan(ratio=0.5, n_runs=4, base_seed=1)
+    plan = OmissionPlan(attack_types=("a1", "rare"), k_values=(1,), with_noise=False, split=split)
+    folds = [stratified_split(data, split, run) for run in range(split.n_runs)]
+    held = [(np.sum(train.attack_type == "rare"), np.sum(test.attack_type == "rare")) for train, test in folds]
+    assert held == [(2, 0), (0, 2), (1, 1), (2, 0)]  # run 1 trains on no "rare" row
+
+    result = run_omission_experiment(data, plan, ForestConfig(n_trees=5))
+    rare = [c for c in result.cells if c.combination == ("rare",)]
+    assert [c.run for c in rare] == [0, 1, 2, 3]
+    for cell, (_, in_test) in zip(rare, held):
+        assert (cell.omitted_recall is not None) == (in_test > 0)
 
 
 def test_omission_plan_rejects_a_repeated_attack_type():
