@@ -7,6 +7,7 @@ scores: anything at or below mean - 3 * std is flagged as an attack.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,10 @@ class Threshold:
     th: float
 
     def __post_init__(self) -> None:
+        for name in ("mu", "sigma", "th"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         expected = self.mu - 3.0 * self.sigma

@@ -476,13 +476,15 @@ def _finalize(config: ExperimentConfig, run_dir: Path, rows: list[dict]) -> Repo
         n_runs=config.split.n_runs,
         blocks=blocks,
     )
-    with open(run_dir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(config.resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(run_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(run_dir / "config.json", config.resolved)
+    _write_json(run_dir / "report.json", dataclasses.asdict(report))
     return report
+
+
+def _write_json(path: Path, obj: object) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_occ_eval(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> Report:
@@ -581,9 +583,7 @@ def cmd_demo(seed: int, out_dir: Path) -> Path:
     run_id = hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()[:12]
     run_dir = out_dir / "demo" / run_id
     run_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(run_dir / "config.json", resolved)
     columns = ("x1", "x2", "true_label", "rf_plain", "rf_noise", "occ")
     rows = [
         {

@@ -108,26 +108,37 @@ def load_schema(path: str | Path) -> Schema:
 
     Accepts either a flat mapping {column: kind} or an object with a
     "columns" mapping and an optional "label_values" override
-    {"normal": [...], "attack": [...]}.
+    {"normal": [...], "attack": [...]} of lists of strings; the object form
+    rejects any other key.
     """
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"schema file {path} must contain a JSON object")
     if "columns" in raw:
+        _require_keys(raw, {"columns", "label_values"}, f"schema file {path}")
         columns = raw["columns"]
         label_values = raw.get("label_values", {})
+        if not isinstance(label_values, dict):
+            raise ValueError("schema 'label_values' must be an object of 'normal' and 'attack' lists")
+        _require_keys(label_values, {"normal", "attack"}, "schema 'label_values'")
     else:
         columns = raw
         label_values = {}
     if not isinstance(columns, dict):
         raise ValueError("schema 'columns' must be a mapping of column name to kind")
     kwargs = {}
-    if "normal" in label_values:
-        kwargs["normal_values"] = frozenset(str(v) for v in label_values["normal"])
-    if "attack" in label_values:
-        kwargs["attack_values"] = frozenset(str(v) for v in label_values["attack"])
+    for key, values in label_values.items():
+        if not (isinstance(values, list) and all(isinstance(v, str) for v in values)):
+            raise ValueError(f"schema 'label_values.{key}' must be a list of strings, got {json.dumps(values)}")
+        kwargs[f"{key}_values"] = frozenset(values)
     return Schema(columns=tuple((str(n), str(k)) for n, k in columns.items()), **kwargs)
+
+
+def _require_keys(raw: dict, allowed: set[str], where: str) -> None:
+    unknown = sorted(set(raw) - allowed)
+    if unknown:
+        raise ValueError(f"{where} has unknown keys {unknown}; allowed: {sorted(allowed)}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,10 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        for name in ("n_trees", "subsample", "k_neighbors", "n_components", "seed"):
+            value = getattr(self, name)
+            if not (_is_int(value) or (value is None and name == "n_components")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
         if self.subsample < 2:
@@ -78,6 +83,10 @@ class DetectorConfig:
             raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         if self.n_components is not None and self.n_components < 1:
             raise ValueError(f"n_components must be >= 1, got {self.n_components}")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def isolation_path_adjustment(n: int) -> float:
@@ -166,8 +175,6 @@ def score(det: FittedDetector, X: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"matrix has {X.shape[1]} features, detector was fitted on {det.feature_count}"
         )
-    if X.shape[0] == 0:
-        return np.zeros(0, dtype=np.float64)
     return det.score(X)
 
 
@@ -557,19 +564,23 @@ def save_detector(
 
 def load_detector(path: str | Path) -> FittedDetector:
     """Rebuild a fitted detector from save_detector output."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_container(path)
     version = payload.get("format_version")
     if version != PERSIST_FORMAT_VERSION:
         raise ValueError(f"unsupported detector container version: {version!r}")
-    config = DetectorConfig(**payload["config"])
+    missing = [key for key in ("variant", "config", "state") if key not in payload]
+    if missing:
+        raise ValueError(f"detector container lacks {missing}")
+    config = _from_object(DetectorConfig, payload["config"], "detector container config")
     variant = payload["variant"]
     if variant != config.variant:
         raise ValueError(f"container variant {variant!r} differs from its config's {config.variant!r}")
     cls = _VARIANT_CLASSES[variant]
     saved = payload["state"]
+    if not isinstance(saved, dict):
+        raise ValueError(f"{variant} state must be a JSON object")
     feature_count = saved.get("feature_count")
-    if not isinstance(feature_count, int) or feature_count < 1:
+    if not _is_int(feature_count) or feature_count < 1:
         raise ValueError(f"{variant} state: feature_count {feature_count!r} is not a positive integer")
     state = {}
     for name, _ in cls._STATE:
@@ -612,7 +623,27 @@ def _check_table(table: dict[str, np.ndarray], feature_count: int) -> None:
 
 def load_saved_threshold(path: str | Path) -> Threshold | None:
     """Threshold stored alongside a detector, or None if the container has none."""
+    block = _read_container(path).get("threshold")
+    return None if block is None else _from_object(Threshold, block, "detector container threshold")
+
+
+def _read_container(path: str | Path) -> dict:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    block = payload.get("threshold")
-    return None if block is None else Threshold(**block)
+    if not isinstance(payload, dict):
+        raise ValueError("detector container must be a JSON object")
+    return payload
+
+
+def _from_object(cls: type, raw: object, where: str):
+    """cls(**raw); ValueError unless raw is a JSON object of cls's fields that has every required one."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    known = {field.name: field.default is MISSING for field in fields(cls)}
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValueError(f"{where} has unknown keys {unknown}")
+    missing = [name for name, required in known.items() if required and name not in raw]
+    if missing:
+        raise ValueError(f"{where} lacks {missing}")
+    return cls(**raw)

@@ -16,7 +16,6 @@ one node at a time.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -88,57 +87,37 @@ def grow(
     right.
     """
     per_chunk = max(1, _CHUNK_PAIRS // pairs_per_tree)
-    parts = [
-        _grow_together(X, rngs[t : t + per_chunk], sample, rule)
-        for t in range(0, len(rngs), per_chunk)
-    ]
-    offsets = list(itertools.accumulate([part[0].size for part in parts], initial=0))
-    feature, value, left, roots, payload = zip(*parts)
-    return (
-        np.concatenate(feature),
-        np.concatenate(value),
-        np.concatenate([np.where(lf >= 0, lf + o, -1) for lf, o in zip(left, offsets)]).astype(np.int32),
-        np.concatenate([r + o for r, o in zip(roots, offsets)]).astype(np.int32),
-        np.concatenate(payload),
-    )
-
-
-def _grow_together(
-    X: np.ndarray,
-    rngs: Sequence[np.random.Generator],
-    sample: Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]],
-    rule: SplitRule,
-) -> tuple[np.ndarray, ...]:
-    """grow's table for the trees of rngs, grown together one depth per step, numbered from 0."""
     d = X.shape[1]
     flat_X = X.ravel()
-    rows, weight = zip(*(sample(rng) for rng in rngs))
-    node = np.repeat(np.arange(len(rngs)), [drawn.size for drawn in rows])
-    rows = np.concatenate(rows)
-    weight = np.concatenate(weight).astype(np.float64)
-    tree = np.arange(len(rngs))
     levels = []
-    first_id = 0
-    depth = 0
-    while tree.size:
-        k = tree.size
-        feature, value, payload = rule(Level(depth, tree, rows, weight, node, rngs))
-        feature = np.asarray(feature, dtype=np.int32)
-        split = feature >= 0
-        parents = np.flatnonzero(split)
-        left = np.full(k, -1, dtype=np.int32)
-        left[parents] = first_id + k + 2 * np.arange(parents.size)
-        levels.append((tree, feature, value, left, payload))
-        if parents.size == 0:
-            break
-        keep = split[node]
-        rows, weight, node = rows[keep], weight[keep], node[keep]
-        # Not `>=`: a NaN goes right, as in the walker.
-        going_right = ~(flat_X[rows * d + feature[node]] < value[node])
-        node = 2 * (np.cumsum(split) - 1)[node] + going_right
-        tree = np.repeat(tree[parents], 2)
-        first_id += k
-        depth += 1
+    first_id = 0  # nodes are numbered once, in the order they are made
+    for t in range(0, len(rngs), per_chunk):
+        chunk = rngs[t : t + per_chunk]
+        rows, weight = zip(*(sample(rng) for rng in chunk))
+        node = np.repeat(np.arange(len(chunk)), [drawn.size for drawn in rows])
+        rows = np.concatenate(rows)
+        weight = np.concatenate(weight).astype(np.float64)
+        tree = np.arange(len(chunk))
+        depth = 0
+        while tree.size:
+            k = tree.size
+            feature, value, payload = rule(Level(depth, tree, rows, weight, node, chunk))
+            feature = np.asarray(feature, dtype=np.int32)
+            split = feature >= 0
+            parents = np.flatnonzero(split)
+            left = np.full(k, -1, dtype=np.int32)
+            left[parents] = first_id + k + 2 * np.arange(parents.size)
+            levels.append((tree + t, feature, value, left, payload))
+            first_id += k
+            if parents.size == 0:
+                break
+            keep = split[node]
+            rows, weight, node = rows[keep], weight[keep], node[keep]
+            # Not `>=`: a NaN goes right, as in the walker.
+            going_right = ~(flat_X[rows * d + feature[node]] < value[node])
+            node = 2 * (np.cumsum(split) - 1)[node] + going_right
+            tree = np.repeat(tree[parents], 2)
+            depth += 1
     # Renumber tree by tree; a stable sort keeps each tree's level order.
     tree, feature, value, left, payload = (np.concatenate(c) for c in zip(*levels))
     order = np.argsort(tree, kind="stable")

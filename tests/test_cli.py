@@ -641,6 +641,17 @@ def test_main_non_finite_numeric_cell_names_its_row_in_the_file(tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+def test_main_schema_with_a_label_values_list_is_a_data_error(tmp_path, capsys):
+    csv_path, schema_path = _ids_like_csv(tmp_path)
+    schema = json.loads(schema_path.read_text())
+    schema["label_values"] = ["normal"]
+    schema_path.write_text(json.dumps(schema))
+    cfg = _occ_config(tmp_path, dataset={"csv": str(csv_path), "schema": str(schema_path)})
+    assert main(["occ-eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "schema 'label_values' must be an object" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_main_report_data_error(tmp_path):
     assert main(["report", "--run-dir", str(tmp_path / "missing")]) == 3
 

@@ -174,6 +174,25 @@ def test_load_schema_flat_and_structured(tmp_path):
     assert "ok" in s2.normal_values
 
 
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"label_values": ["normal"]}, "'label_values'"),
+        ({"label_values": {"normal": "normal", "attack": ["*"]}}, "'label_values.normal'"),
+        ({"label_values": {"attack": "*"}}, "'label_values.attack'"),
+        ({"label_values": {"normal": ["normal", 0]}}, "'label_values.normal'"),
+        ({"label_value": {"normal": ["ok"]}}, "['label_value']"),
+        ({"label_values": {"norml": ["ok"]}}, "['norml']"),
+    ],
+    ids=["list", "string-normal", "string-attack", "non-string-value", "misspelt-key", "misspelt-label-key"],
+)
+def test_load_schema_rejects_a_bad_label_vocabulary(tmp_path, extra, key):
+    path = _write(tmp_path, "s.json", json.dumps({"columns": {"a": "numeric", "y": "binary-label"}, **extra}))
+    with pytest.raises(ValueError) as err:
+        load_schema(path)
+    assert key in str(err.value)
+
+
 def _table(tmp_path, body):
     path = _write(tmp_path, "t.csv", "duration,proto,label,attack_cat\n" + body)
     return load_csv(path, SCHEMA)

@@ -96,6 +96,7 @@ def test_score_empty_matrix(variant):
     det = fit(_config(variant), _cluster(3))
     out = score(det, np.zeros((0, 2)))
     assert out.shape == (0,)
+    assert out.dtype == np.float64
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -490,10 +491,12 @@ def test_forest_fit_table_does_not_depend_on_chunking(variant, monkeypatch):
     config = DetectorConfig(variant=variant, n_trees=25, subsample=64, seed=2)
     batched = fit(config, X)
     assert batched.roots.size == 25
-    monkeypatch.setattr(trees, "_CHUNK_PAIRS", 1)
-    one_tree_at_a_time = fit(config, X)
-    _assert_same_table(one_tree_at_a_time, batched)
-    assert np.array_equal(score(batched, X), score(one_tree_at_a_time, X))
+    # One tree per chunk, then 4 trees per chunk with a last chunk of one.
+    for chunk_pairs in (1, 768):
+        monkeypatch.setattr(trees, "_CHUNK_PAIRS", chunk_pairs)
+        chunked = fit(config, X)
+        _assert_same_table(chunked, batched)
+        assert np.array_equal(score(batched, X), score(chunked, X))
 
 
 def test_forest_fit_oracle_rejects_other_variants():
@@ -603,6 +606,31 @@ def test_container_carries_threshold(tmp_path):
     assert load_saved_threshold(bare) is None
 
 
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda block: block.update(scale=1.0), r"threshold has unknown keys \['scale'\]"),
+        (lambda block: block.pop("th"), r"threshold lacks \['th'\]"),
+        (lambda block: block.update(sigma="0"), "sigma must be a number, got '0'"),
+        (lambda block: block.update(mu=None), "mu must be a number, got None"),
+    ],
+    ids=["unknown-key", "no-th", "string-sigma", "null-mu"],
+)
+def test_load_saved_threshold_rejects_a_damaged_block(damage, message, tmp_path):
+    from occkit.calibration import calibrate_threshold
+    from occkit.detectors import load_saved_threshold
+
+    X = _cluster(22)
+    det = fit(_config("lof"), X)
+    path = tmp_path / "model.json"
+    save_detector(det, path, threshold=calibrate_threshold(score(det, X)))
+    payload = json.loads(path.read_text())
+    damage(payload["threshold"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
+        load_saved_threshold(path)
+
+
 def test_load_rejects_unknown_version(tmp_path):
     X = _cluster(21)
     det = fit(_config("linear-recon"), X)
@@ -651,76 +679,106 @@ def _deadline(seconds):
 
 
 def _damage(payload, case):
-    """Break one part of a saved container; return the message load_detector must give."""
+    """Break one part of a saved container; return it and the message load_detector must give."""
     state = payload["state"]
+    if case == "container-is-a-list":
+        return [payload], "detector container must be a JSON object"
+    if case == "state-is-a-list":
+        payload["state"] = list(state.values())
+        return payload, "stochastic-forest state must be a JSON object"
+    if case == "config-is-a-list":
+        payload["config"] = list(payload["config"].values())
+        return payload, "detector container config must be a JSON object"
+    if case in ("no-config", "no-variant", "no-state"):
+        del payload[case[3:]]
+        return payload, rf"detector container lacks \['{case[3:]}'\]"
+    if case == "unknown-config-key":
+        payload["config"]["depth"] = 3
+        return payload, r"detector container config has unknown keys \['depth'\]"
+    if case == "no-config-variant":
+        del payload["config"]["variant"]
+        return payload, r"detector container config lacks \['variant'\]"
+    if case == "lof-string-k":
+        payload["config"]["k_neighbors"] = "3"
+        return payload, "k_neighbors must be an integer, got '3'"
+    if case == "lof-fractional-k":
+        # score would fail inside numpy's partition.
+        payload["config"]["k_neighbors"] = 3.5
+        return payload, "k_neighbors must be an integer, got 3.5"
+    if case == "bool-n-trees":
+        payload["config"]["n_trees"] = True
+        return payload, "n_trees must be an integer, got True"
+    if case == "string-seed":
+        payload["config"]["seed"] = "x"
+        return payload, "seed must be an integer, got 'x'"
     if case == "variant-mismatch":
         payload["variant"] = "isolation-forest"
-        return "container variant 'isolation-forest' differs from its config's 'stochastic-forest'"
+        return payload, "container variant 'isolation-forest' differs from its config's 'stochastic-forest'"
     if case == "no-feature-count":
         del state["feature_count"]
-        return "stochastic-forest state: feature_count None is not a positive integer"
+        return payload, "stochastic-forest state: feature_count None is not a positive integer"
     if case == "missing-array":
         del state["value"]
-        return "stochastic-forest state: value is missing or ragged"
+        return payload, "stochastic-forest state: value is missing or ragged"
     if case == "lof-rows-unlike-kdist":
         # 20 rows is still more than k_neighbors, so nothing else would notice.
         del state["X_train"][20:]
-        return "lof state: kdist has 60 entries, X_train has 20 rows"
+        return payload, "lof state: kdist has 60 entries, X_train has 20 rows"
     if case == "lof-short-kdist":
         state["kdist"].pop()
-        return "lof state: kdist has 59 entries, X_train has 60 rows"
+        return payload, "lof state: kdist has 59 entries, X_train has 60 rows"
     if case == "lof-short-lrd":
         state["lrd"].pop()
-        return "lof state: lrd has 59 entries, X_train has 60 rows"
+        return payload, "lof state: lrd has 59 entries, X_train has 60 rows"
     if case == "lof-k-not-below-rows":
         # fit never writes this; score would fail inside numpy's partition.
         payload["config"]["k_neighbors"] = 60
-        return "lof state: k_neighbors=60 is not below X_train's 60 rows"
+        return payload, "lof state: k_neighbors=60 is not below X_train's 60 rows"
     if case == "lof-wide-rows":
         for row in state["X_train"]:
             row.append(0.5)
-        return "lof state: X_train has 3 columns, feature_count is 2"
+        return payload, "lof state: X_train has 3 columns, feature_count is 2"
     if case == "linear-recon-wide-basis":
         for row in state["basis"]:
             row.append(0.0)
-        return "linear-recon state: basis has 3 columns, feature_count is 2"
+        return payload, "linear-recon state: basis has 3 columns, feature_count is 2"
     if case == "linear-recon-wide-mean":
         state["mean"].append(0.5)
-        return "linear-recon state: mean has 3 entries, feature_count is 2"
+        return payload, "linear-recon state: mean has 3 entries, feature_count is 2"
     if case == "linear-recon-ragged-basis":
         state["basis"][0].pop()
-        return "linear-recon state: basis is missing or ragged"
+        return payload, "linear-recon state: basis is missing or ragged"
     if case == "linear-recon-flat-basis":
         state["basis"] = state["basis"][0]
-        return "linear-recon state: basis is not a 2-D array of numbers"
+        return payload, "linear-recon state: basis is not a 2-D array of numbers"
     left, n = state["left"], len(state["left"])
     inner = [i for i in range(n) if left[i] >= 0]
     if case == "cycle":
         # The root's left child pointing back at the root: descent would loop forever.
         i = left[0]
         left[i] = 0
-        return rf"left\[{i}\] = 0 is neither -1 nor in"
+        return payload, rf"left\[{i}\] = 0 is neither -1 nor in"
     if case == "child-past-the-table":
         left[inner[-1]] = n - 1
-        return rf"left\[{inner[-1]}\] = {n - 1} is neither -1 nor in"
+        return payload, rf"left\[{inner[-1]}\] = {n - 1} is neither -1 nor in"
     if case == "child-is-itself":
         left[inner[0]] = inner[0]
-        return rf"left\[{inner[0]}\] = {inner[0]} is neither -1 nor in"
+        return payload, rf"left\[{inner[0]}\] = {inner[0]} is neither -1 nor in"
     if case == "negative-child":
         left[inner[0]] = -2
-        return rf"left\[{inner[0]}\] = -2 is neither -1 nor in"
+        return payload, rf"left\[{inner[0]}\] = -2 is neither -1 nor in"
     if case == "unequal-lengths":
         state["path_length"].pop()
-        return rf"path_length has {n - 1} entries, feature has {n}"
+        return payload, rf"path_length has {n - 1} entries, feature has {n}"
     if case == "feature-out-of-range":
         state["feature"][inner[0]] = state["feature_count"]
-        return rf"feature\[{inner[0]}\] = 2 is not in \[0, 2\)"
+        return payload, rf"feature\[{inner[0]}\] = 2 is not in \[0, 2\)"
     if case == "root-past-the-table":
         state["roots"][1] = n
-        return rf"roots\[1\] = {n} is not a node of the {n}-node table"
+        return payload, rf"roots\[1\] = {n} is not a node of the {n}-node table"
     if case == "no-roots":
         state["roots"] = []
-        return "roots is empty"
+        return payload, "roots is empty"
     raise AssertionError(case)
 
 
@@ -747,6 +805,18 @@ def _damage(payload, case):
         "linear-recon-wide-mean",
         "linear-recon-ragged-basis",
         "linear-recon-flat-basis",
+        "container-is-a-list",
+        "state-is-a-list",
+        "config-is-a-list",
+        "no-config",
+        "no-variant",
+        "no-state",
+        "unknown-config-key",
+        "no-config-variant",
+        "lof-string-k",
+        "lof-fractional-k",
+        "bool-n-trees",
+        "string-seed",
     ],
 )
 def test_load_rejects_a_damaged_forest_table(case, tmp_path):
@@ -755,8 +825,8 @@ def test_load_rejects_a_damaged_forest_table(case, tmp_path):
     path = tmp_path / "model.json"
     save_detector(fit(_config(variant, n_trees=3), X), path)
     payload = json.loads(path.read_text())
-    message = _damage(payload, case)
-    path.write_text(json.dumps(payload))
+    damaged, message = _damage(payload, case)
+    path.write_text(json.dumps(damaged))
     # Without the check, the cycle case loops forever in score.
     with _deadline(10), pytest.raises(ValueError, match=message):
         score(load_detector(path), X)

@@ -179,11 +179,13 @@ def test_rf_fit_table_does_not_depend_on_chunking(monkeypatch):
     X = np.round(X, 2)  # overlapping classes and tied values grow deep trees
     config = ForestConfig(n_trees=25, min_leaf=2)
     batched = rf_fit(X, y, config, seed=4)
-    monkeypatch.setattr(trees, "_CHUNK_PAIRS", 1)
-    one_tree_at_a_time = rf_fit(X, y, config, seed=4)
-    _assert_same_table(one_tree_at_a_time, batched)
     probes = np.random.default_rng(11).uniform(size=(50, 2))
-    assert np.array_equal(rf_predict(batched, probes), rf_predict(one_tree_at_a_time, probes))
+    # 240 rows: one tree per chunk, then 3 trees per chunk with a last chunk of one.
+    for chunk_pairs in (1, 720):
+        monkeypatch.setattr(trees, "_CHUNK_PAIRS", chunk_pairs)
+        chunked = rf_fit(X, y, config, seed=4)
+        _assert_same_table(chunked, batched)
+        assert np.array_equal(rf_predict(batched, probes), rf_predict(chunked, probes))
 
 
 def test_rf_fit_and_predict_hold_little_memory():
