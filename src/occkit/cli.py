@@ -274,7 +274,9 @@ def load_config(path: str | Path | None, *, experiment: str, seed_override: int 
         "occ_detector": (str, None), "attack_types": ([str], None), "rf": (dict, {}),
     })
     # A k above the number of attack types is a data error: that count comes from the data.
-    _require(all(k >= 1 for k in omission["k_values"]), "omission.k_values must all be >= 1")
+    k_values = omission["k_values"]
+    _require(all(k >= 1 for k in k_values), "omission.k_values must all be >= 1")
+    _require(len(set(k_values)) == len(k_values), f"omission.k_values repeats a value: {k_values}")
     _require(omission["combination_cap"] >= 1, "omission.combination_cap must be >= 1")
     tags = omission["attack_types"]
     _require(tags != [], "omission.attack_types is empty; leave it out to use every tag in the data")
@@ -365,6 +367,7 @@ def _fmt(value: object) -> str:
 
 
 def _write_rows(path: Path, columns: tuple[str, ...], rows: list[dict]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -456,12 +459,6 @@ def _occ_rows_for_run(
     ]
 
 
-def _run_dir(config: ExperimentConfig, out_dir: Path) -> Path:
-    run_dir = out_dir / config.experiment / config.config_hash
-    run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir
-
-
 def _finalize(config: ExperimentConfig, run_dir: Path, rows: list[dict]) -> Report:
     """Write per_run.csv, config.json and report.json, its blocks built as `occkit report` rebuilds them."""
     columns, build_blocks = _RESULTS[config.experiment]
@@ -499,7 +496,7 @@ def cmd_occ_eval(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> R
     runs = range(config.split.n_runs)
     cells = [(run, name) for run in runs for name in config.detectors]
     source = _DataSource(config)
-    run_dir = _run_dir(config, out_dir)
+    run_dir = out_dir / config.experiment / config.config_hash  # made by its first file
     per_run: list[list[dict]] = []
     try:
         outcomes = map_cells(functools.partial(_occ_cell, config, source), cells, workers)
@@ -553,7 +550,7 @@ def cmd_omission(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> R
     rf_config = ForestConfig(**config.omission["rf"])
     result = run_omission_experiment(data, plan, rf_config, workers=workers, occ=occ)
     rows = [{**vars(cell), "combination_tags": "|".join(cell.combination)} for cell in result.cells]
-    return _finalize(config, _run_dir(config, out_dir), rows)
+    return _finalize(config, out_dir / config.experiment / config.config_hash, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +579,6 @@ def cmd_demo(seed: int, out_dir: Path) -> Path:
     resolved = {"experiment": "demo", "seed": seed}
     run_id = hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()[:12]
     run_dir = out_dir / "demo" / run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(run_dir / "config.json", resolved)
     columns = ("x1", "x2", "true_label", "rf_plain", "rf_noise", "occ")
     rows = [
         {
@@ -597,6 +592,7 @@ def cmd_demo(seed: int, out_dir: Path) -> Path:
         for i in range(demo.n_rows)
     ]
     _write_rows(run_dir / "demo_points.csv", columns, rows)
+    _write_json(run_dir / "config.json", resolved)
     return run_dir
 
 

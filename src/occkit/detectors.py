@@ -12,7 +12,8 @@ Variants:
                        coordinates, so rankings are invariant under strictly
                        monotone per-feature transforms
     lof                local outlier factor against the training set, negated
-    linear-recon       principal-subspace projection via power iteration,
+    linear-recon       principal subspace from one symmetric
+                       eigendecomposition; the seed has no effect;
                        score = -squared reconstruction error
 """
 
@@ -478,52 +479,10 @@ class LinearReconDetector(FittedDetector):
         mean = X.mean(axis=0)
         centered = X - mean
         cov = centered.T @ centered / n
-        rng = np.random.default_rng(config.seed)
-        basis = np.zeros((r, d), dtype=np.float64)
-        deflated = cov.copy()
-        for comp in range(r):
-            basis[comp] = cls._leading_direction(deflated, basis[:comp], rng, d)
-            lam = float(basis[comp] @ deflated @ basis[comp])
-            deflated = deflated - lam * np.outer(basis[comp], basis[comp])
+        # eigh's eigenvectors form a complete orthonormal basis (zero-variance
+        # directions included), in ascending order of eigenvalue.
+        basis = np.ascontiguousarray(np.linalg.eigh(cov)[1].T[::-1][:r])
         return cls(config, d, mean=mean, basis=basis)
-
-    @staticmethod
-    def _leading_direction(
-        matrix: np.ndarray, prior: np.ndarray, rng: np.random.Generator, d: int
-    ) -> np.ndarray:
-        """Power iteration for the top eigenvector orthogonal to prior rows."""
-
-        def orthonormalize(v: np.ndarray) -> np.ndarray:
-            if prior.shape[0]:
-                v = v - prior.T @ (prior @ v)
-            norm = float(np.linalg.norm(v))
-            return v / norm if norm > 1e-12 else np.zeros(d)
-
-        v = orthonormalize(rng.standard_normal(d))
-        if not v.any():
-            return LinearReconDetector._complete_basis(prior, d)
-        for _ in range(200):
-            w = orthonormalize(matrix @ v)
-            if not w.any():
-                # No variance left in the orthogonal complement; any completion
-                # direction reconstructs the data equally well.
-                return LinearReconDetector._complete_basis(prior, d)
-            if abs(float(w @ v)) > 1.0 - 1e-13:
-                return w
-            v = w
-        return v
-
-    @staticmethod
-    def _complete_basis(prior: np.ndarray, d: int) -> np.ndarray:
-        for axis in range(d):
-            v = np.zeros(d)
-            v[axis] = 1.0
-            if prior.shape[0]:
-                v = v - prior.T @ (prior @ v)
-            norm = float(np.linalg.norm(v))
-            if norm > 1e-6:
-                return v / norm
-        raise ValueError("cannot extend orthonormal basis, subspace already complete")
 
     def score(self, X: np.ndarray) -> np.ndarray:
         centered = X - self.mean
@@ -565,9 +524,6 @@ def save_detector(
 def load_detector(path: str | Path) -> FittedDetector:
     """Rebuild a fitted detector from save_detector output."""
     payload = _read_container(path)
-    version = payload.get("format_version")
-    if version != PERSIST_FORMAT_VERSION:
-        raise ValueError(f"unsupported detector container version: {version!r}")
     missing = [key for key in ("variant", "config", "state") if key not in payload]
     if missing:
         raise ValueError(f"detector container lacks {missing}")
@@ -579,6 +535,9 @@ def load_detector(path: str | Path) -> FittedDetector:
     saved = payload["state"]
     if not isinstance(saved, dict):
         raise ValueError(f"{variant} state must be a JSON object")
+    unknown = sorted(set(saved) - {"feature_count", *(name for name, _ in cls._STATE)})
+    if unknown:
+        raise ValueError(f"{variant} state has unknown keys {unknown}")
     feature_count = saved.get("feature_count")
     if not _is_int(feature_count) or feature_count < 1:
         raise ValueError(f"{variant} state: feature_count {feature_count!r} is not a positive integer")
@@ -632,6 +591,12 @@ def _read_container(path: str | Path) -> dict:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError("detector container must be a JSON object")
+    version = payload.get("format_version")
+    if version != PERSIST_FORMAT_VERSION:
+        raise ValueError(f"unsupported detector container version: {version!r}")
+    unknown = sorted(set(payload) - {"format_version", "variant", "config", "state", "threshold"})
+    if unknown:
+        raise ValueError(f"detector container has unknown keys {unknown}")
     return payload
 
 

@@ -129,6 +129,7 @@ def _with_forest(**settings):
         ("occ-eval", {"ensemble": {"members": "lof"}}, "ensemble.members must be a JSON list"),
         ("occ-eval", {"ensemble": {"levels": ["x"]}}, "ensemble.levels must be a JSON list"),
         ("omission", {"omission": {"k_values": "12"}}, "omission.k_values must be a JSON list"),
+        ("omission", {"omission": {"k_values": [1, 1]}}, "omission.k_values repeats a value: [1, 1]"),
         ("omission", {"omission": {"with_noise": "no"}}, "omission.with_noise must be a JSON boolean"),
         ("omission", {"omission": {"rf": {"n_trees": "5"}}}, "omission.rf.n_trees must be a JSON integer"),
         ("omission", {"omission": {"rf": {"n_trees": 0}}}, "omission.rf: n_trees must be >= 1"),
@@ -148,8 +149,8 @@ def _with_forest(**settings):
     ],
     ids=[
         "seed", "dataset.demo", "split", "detector", "ensemble.members", "ensemble.levels",
-        "omission.k_values", "omission.with_noise", "omission.rf-type", "omission.rf-range",
-        "omission.combination_cap", "seed-negative", "split.base_seed-negative",
+        "omission.k_values", "omission.k_values-repeated", "omission.with_noise", "omission.rf-type",
+        "omission.rf-range", "omission.combination_cap", "seed-negative", "split.base_seed-negative",
         "dataset.demo.seed-negative", "dataset.demo.n_normal-zero", "dataset.demo.n_normal-one",
         "dataset.demo.n_normal-negative", "dataset.demo.n_attack-zero", "dataset.demo.sigma-negative",
         "dataset.demo.sigma-nan", "dataset.demo.sigma-infinite", "ensemble.members-empty",
@@ -522,6 +523,16 @@ def test_failed_run_preserves_completed_rows(tmp_path, monkeypatch):
     rows = _read_csv(partial)
     assert {r["run"] for r in rows} == {"0", "1"}
     assert not (out / "occ-eval" / config.config_hash / "per_run.csv").exists()
+
+
+def test_occ_eval_failing_in_its_first_run_leaves_no_run_directory(tmp_path, capsys):
+    # k_neighbors is not below the 96 training normals, so run 0's LOF fit fails.
+    detectors = {"lof": {"variant": "lof", "k_neighbors": 500}}
+    config_path = _occ_config(tmp_path, split={"ratio": 0.8, "n_runs": 2}, detectors=detectors)
+    out = tmp_path / "out"
+    assert main(["occ-eval", "--config", str(config_path), "--out", str(out)]) == 3
+    assert "occ-eval aborted at run 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_failed_cell_in_a_worker_process_preserves_completed_rows(tmp_path, monkeypatch):

@@ -541,6 +541,65 @@ def test_linear_recon_basis_is_orthonormal():
     assert np.allclose(gram, np.eye(3), atol=1e-9)
 
 
+def test_linear_recon_basis_is_the_top_eigenvector_on_the_demo():
+    # Run 8 of the shipped seed-42 demo occ-eval: its normals are near-isotropic
+    # (second eigenvalue / first 0.976), where 200 steps of a seeded power
+    # iteration stopped 5.7 degrees short of the top eigenvector (|cos| 0.9951).
+    from pathlib import Path
+
+    from occkit.cli import _DataSource, load_config
+    from occkit.seeding import derive_seed
+
+    path = Path(__file__).resolve().parent.parent / "configs" / "demo-occ-eval.json"
+    config = load_config(path, experiment="occ-eval", seed_override=None)
+    normals = _DataSource(config).split_for_run(config.split, 8)[0].X
+    seed = derive_seed(config.seed, "detector", "linear-recon", 8)
+    det = fit(DetectorConfig(variant="linear-recon", n_components=1, seed=seed), normals)
+    top = np.linalg.svd(normals - normals.mean(axis=0))[2][0]
+    assert abs(float(det.basis[0] @ top)) >= 1 - 1e-12
+
+
+def test_linear_recon_does_not_depend_on_the_seed():
+    X = np.random.default_rng(25).normal(size=(50, 4))
+    bases = [fit(_config("linear-recon", seed=seed, n_components=2), X).basis for seed in (0, 1, 99)]
+    assert all(np.array_equal(basis, bases[0]) for basis in bases[1:])
+
+
+@st.composite
+def _recon_cases(draw):
+    """A small matrix, some of its columns made constant and some copies of another column."""
+    n = draw(st.integers(2, 12))
+    d = draw(st.integers(1, 6))
+    values = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    X = np.array(draw(st.lists(values, min_size=n * d, max_size=n * d))).reshape(n, d)
+    for j in range(d):
+        kind = draw(st.sampled_from(["free", "constant", "copy"]))
+        if kind == "constant":
+            X[:, j] = X[0, j]
+        elif kind == "copy":
+            X[:, j] = X[:, draw(st.integers(0, d - 1))]
+    return X
+
+
+@settings(max_examples=150, deadline=None)
+@given(_recon_cases())
+def test_linear_recon_captures_the_largest_eigenvalues(X):
+    # scipy is a test-only dependency: an eigenvalue reference independent of numpy's eigh.
+    from scipy.linalg import eigvalsh
+
+    centered = X - X.mean(axis=0)
+    cov = centered.T @ centered / X.shape[0]
+    eigenvalues = eigvalsh(cov)[::-1]
+    d = X.shape[1]
+    tolerance = 1e-9 * (1.0 + float(np.trace(cov)))
+    for r in range(1, d + 1):
+        basis = fit(_config("linear-recon", n_components=r), X).basis
+        assert basis.shape == (r, d)
+        assert np.allclose(basis @ basis.T, np.eye(r), atol=1e-9)
+        captured = float(np.trace(basis @ cov @ basis.T))
+        assert abs(captured - float(eigenvalues[:r].sum())) <= tolerance
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -555,7 +614,7 @@ _SAVED_SHA256 = {
     "isolation-forest": "08643424394376d0f3ed44f8445a1edc745f4fd9dbb1f333809063dd6c44ce81",
     "stochastic-forest": "41149111d27b758a5cd8a2f7897e0bb9fa100fcd96ed69d355f430d62bfb6834",
     "lof": "c14e0c19e2b228bf4d6d746e5ecce72d1f273c7922b987a5322aff0b6237bfa5",
-    "linear-recon": "1d7df9fe1949c7bb1346a63f033d7cbb00ab9a1384c5cf50f287175c68bb1f87",
+    "linear-recon": "95277be9936f2469b857e5797a52271343b56869cb428ffee5e832cf04f9283e",
 }
 
 
@@ -609,12 +668,18 @@ def test_container_carries_threshold(tmp_path):
 @pytest.mark.parametrize(
     "damage, message",
     [
-        (lambda block: block.update(scale=1.0), r"threshold has unknown keys \['scale'\]"),
-        (lambda block: block.pop("th"), r"threshold lacks \['th'\]"),
-        (lambda block: block.update(sigma="0"), "sigma must be a number, got '0'"),
-        (lambda block: block.update(mu=None), "mu must be a number, got None"),
+        (lambda payload: payload["threshold"].update(scale=1.0), r"threshold has unknown keys \['scale'\]"),
+        (lambda payload: payload["threshold"].pop("th"), r"threshold lacks \['th'\]"),
+        (lambda payload: payload["threshold"].update(sigma="0"), "sigma must be a number, got '0'"),
+        (lambda payload: payload["threshold"].update(mu=None), "mu must be a number, got None"),
+        # Without the top-level key check the misspelt block read as no threshold at all.
+        (
+            lambda payload: payload.update(treshold=payload.pop("threshold")),
+            r"detector container has unknown keys \['treshold'\]",
+        ),
+        (lambda payload: payload.update(format_version=99), "unsupported detector container version: 99"),
     ],
-    ids=["unknown-key", "no-th", "string-sigma", "null-mu"],
+    ids=["unknown-key", "no-th", "string-sigma", "null-mu", "misspelt-threshold", "unknown-version"],
 )
 def test_load_saved_threshold_rejects_a_damaged_block(damage, message, tmp_path):
     from occkit.calibration import calibrate_threshold
@@ -625,7 +690,7 @@ def test_load_saved_threshold_rejects_a_damaged_block(damage, message, tmp_path)
     path = tmp_path / "model.json"
     save_detector(det, path, threshold=calibrate_threshold(score(det, X)))
     payload = json.loads(path.read_text())
-    damage(payload["threshold"])
+    damage(payload)
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=message):
         load_saved_threshold(path)
@@ -711,6 +776,12 @@ def _damage(payload, case):
     if case == "string-seed":
         payload["config"]["seed"] = "x"
         return payload, "seed must be an integer, got 'x'"
+    if case == "misspelt-threshold":
+        payload["treshold"] = {"mu": 0.0, "sigma": 1.0, "th": -3.0}
+        return payload, r"detector container has unknown keys \['treshold'\]"
+    if case == "unknown-state-array":
+        state["depth"] = [0] * len(state["left"])
+        return payload, r"stochastic-forest state has unknown keys \['depth'\]"
     if case == "variant-mismatch":
         payload["variant"] = "isolation-forest"
         return payload, "container variant 'isolation-forest' differs from its config's 'stochastic-forest'"
@@ -817,6 +888,8 @@ def _damage(payload, case):
         "lof-fractional-k",
         "bool-n-trees",
         "string-seed",
+        "misspelt-threshold",
+        "unknown-state-array",
     ],
 )
 def test_load_rejects_a_damaged_forest_table(case, tmp_path):

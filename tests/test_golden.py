@@ -34,8 +34,8 @@ def _only(out: Path, pattern: str) -> Path:
         (
             "occ-eval",
             "demo-occ-eval.json",
-            "359196e33119cdfcf672a846932ec47dc694df7ccb0bcafa1910bf249ffe244e",
-            "8ddee064c7d43a5336b18419d2fb61937a47b35b6c9996569d1705ba495165ad",
+            "8a6d02686db0a0719afb823625d3c64bbcf54b4b58ca9aab40a9bcf67d0ab339",
+            "df58b8120ad617fe1b275f220646086f3ba907de5f89ff6e43479560580fbd02",
         ),
         (
             "omission",
