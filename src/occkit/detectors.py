@@ -203,11 +203,16 @@ class _ForestDetector(FittedDetector):
     node of a depth from its doubles at once; the tests hold it to a per-node
     cut and `forest_fit_oracle` (`tests/oracles.py`). The forest is one node
     table (`occkit.trees`) whose payload is each leaf's path length,
-    depth + c(mass).
+    depth + c(mass), and `score` is one `trees.leaf_sums` walk over it.
     """
 
     # The node table, in the order `trees.grow` returns it.
     _STATE = (("feature", "n"), ("value", "n"), ("left", "n"), ("roots", "t"), ("path_length", "n"))
+
+    # Whether `_cuts` reads every column of a node's rows: if so, a chunk of
+    # trees counts (tree, row, feature) triples against trees._CHUNK_PAIRS,
+    # else (tree, row) pairs.
+    _READS_EVERY_COLUMN = True
 
     @classmethod
     def fit(cls, config: DetectorConfig, X: np.ndarray) -> _ForestDetector:
@@ -215,6 +220,7 @@ class _ForestDetector(FittedDetector):
         n, d = X.shape
         effective, limit, rngs = _growth(config, n)
         unit = np.ones(effective)
+        adjustment = _path_adjustments(np.arange(effective + 1))  # c(mass) by mass
 
         def rule(level: trees.Level) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             k = level.tree.size
@@ -223,8 +229,11 @@ class _ForestDetector(FittedDetector):
             value = np.zeros(k)
             nodes, elements, seg = level.open((mass > 1) & (level.depth < limit))
             if nodes.size:
-                # A stable sort groups the rows by node, each node's in its subsample's order.
-                rows = level.rows[elements[np.argsort(seg, kind="stable")]]
+                # A stable sort groups the rows by node, each node's in its
+                # subsample's order; on the narrowest integer type that holds
+                # seg, numpy sorts by radix.
+                order = np.argsort(seg.astype(np.min_scalar_type(nodes.size - 1)), kind="stable")
+                rows = level.rows[elements[order]]
                 sizes = mass[nodes]
                 cut_feature, cut_value, ok = cls._cuts(
                     X, rows, np.cumsum(sizes) - sizes, sizes, level.draw(nodes, cls._DRAWS)
@@ -233,13 +242,13 @@ class _ForestDetector(FittedDetector):
                 value[nodes[ok]] = cut_value[ok]
             leaf = feature < 0
             path_length = np.zeros(k)
-            path_length[leaf] = level.depth + _path_adjustments(mass[leaf])
+            path_length[leaf] = level.depth + adjustment[mass[leaf]]
             return feature, value, path_length
 
         def sample(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
             return rng.permutation(n)[:effective], unit
 
-        table = trees.grow(X, rngs, sample, rule, effective * d)
+        table = trees.grow(X, rngs, sample, rule, effective * (d if cls._READS_EVERY_COLUMN else 1))
         return cls(config, d, **{name: array for (name, _), array in zip(cls._STATE, table)})
 
     def score(self, X: np.ndarray) -> np.ndarray:
@@ -261,22 +270,26 @@ def _growth(config: DetectorConfig, n: int) -> tuple[int, int, list[np.random.Ge
 
 class IsolationForestDetector(_ForestDetector):
     """A node cuts one of its spread features, drawn with the first double,
-    at a uniform value in [lo, hi) of that feature, set by the second."""
+    at a uniform value in [lo, hi) of that feature, set by the second.
+    Finding the spread features reads every column of a node's rows."""
 
     variant = "isolation-forest"
     _DRAWS = 2
 
     @staticmethod
     def _cuts(X: np.ndarray, rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray, u: np.ndarray):
-        sub = X[rows]
-        lo = np.minimum.reduceat(sub, starts)
-        hi = np.maximum.reduceat(sub, starts)
-        spread = hi > lo
+        sub = np.take(X, rows, axis=0)  # as X[rows], but several times faster on narrow rows
+        # A feature is spread on a node iff some row of the node differs from
+        # the row before it; the pair that straddles two nodes does not count.
+        step = sub[1:] != sub[:-1]
+        step[starts[1:] - 1] = False
+        spread = np.logical_or.reduceat(step, starts)
         pick = (u[:, 0] * spread.sum(axis=1)).astype(np.intp)
         # The pick-th spread feature is the first whose running count passes pick.
         feature = np.argmax(np.cumsum(spread, axis=1) > pick[:, None], axis=1)
-        node = np.arange(starts.size)
-        lo, hi = lo[node, feature], hi[node, feature]
+        column = np.take(X.ravel(), rows * X.shape[1] + np.repeat(feature, sizes))
+        lo = np.minimum.reduceat(column, starts)
+        hi = np.maximum.reduceat(column, starts)
         value = lo + (hi - lo) * u[:, 1]
         # Some row lies below the cut iff lo < value, some at or above it iff
         # value <= hi; a draw on the boundary, or a node with no spread
@@ -287,6 +300,8 @@ class IsolationForestDetector(_ForestDetector):
 class StochasticForestDetector(_ForestDetector):
     """A node tries up to _SPLIT_RETRIES (feature, datum) pairs, two doubles
     each, and cuts at the first datum with some row of the node below it.
+    A batch reads one column of a node's rows per retry it makes, so its
+    trees grow in chunks counted by (tree, row) pairs.
 
     The cut sits exactly on a training coordinate: every decision depends only
     on comparisons between data values, never on their magnitudes, which is
@@ -295,19 +310,32 @@ class StochasticForestDetector(_ForestDetector):
 
     variant = "stochastic-forest"
     _DRAWS = 2 * _SPLIT_RETRIES
+    _READS_EVERY_COLUMN = False
 
     @staticmethod
     def _cuts(X: np.ndarray, rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray, u: np.ndarray):
-        feature = (u[:, 0::2] * X.shape[1]).astype(np.intp)
+        d = X.shape[1]
+        flat_X = X.ravel()
+        feature = (u[:, 0::2] * d).astype(np.intp)
         datum = rows[starts[:, None] + (u[:, 1::2] * sizes[:, None]).astype(np.intp)]
-        value = X[datum, feature]
-        # The datum itself keeps the right side non-empty; the left side is
-        # non-empty iff the node's minimum on the feature lies below it.
-        node_feature = np.repeat(feature, sizes, axis=0)
-        ok = np.minimum.reduceat(X[rows[:, None], node_feature], starts) < value
-        first = np.argmax(ok, axis=1)
-        node = np.arange(starts.size)
-        return feature[node, first], value[node, first], ok.any(axis=1)
+        value = flat_X[datum * d + feature]
+        first = np.zeros(starts.size, dtype=np.intp)
+        ok = np.zeros(starts.size, dtype=bool)
+        # Retry r reads only the rows of the nodes whose earlier retries all
+        # failed. The datum itself keeps the right side non-empty; the left
+        # side is non-empty iff the node's minimum on the feature lies below it.
+        pending = np.arange(starts.size)
+        for r in range(_SPLIT_RETRIES):
+            cells = rows * d + np.repeat(feature[pending, r], sizes)
+            hit = np.minimum.reduceat(flat_X[cells], starts) < value[pending, r]
+            first[pending[hit]], ok[pending[hit]] = r, True
+            if hit.all():
+                break
+            rows = rows[np.repeat(~hit, sizes)]
+            pending, sizes = pending[~hit], sizes[~hit]
+            starts = np.cumsum(sizes) - sizes
+        node = np.arange(first.size)
+        return feature[node, first], value[node, first], ok
 
 
 # ---------------------------------------------------------------------------

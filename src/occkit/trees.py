@@ -9,7 +9,8 @@ class counts, a detector tree's path length).
 `grow` builds the table of every forest: the trees of a chunk grow together,
 one depth per step, and a forest supplies only its batched split rule, which
 picks one cut per open node of a depth. `leaf_sums` adds up the payload of
-the leaf each row reaches in every tree. The tests hold `grow` to
+the leaf each row reaches in every tree, in one tiled walk: a block of rows
+against a chunk of trees, one level per step. The tests hold `grow` to
 `grow_oracle` (`tests/oracles.py`), which builds the same table one tree and
 one node at a time.
 """
@@ -24,10 +25,13 @@ __all__ = ["Level", "grow", "leaf_sums"]
 
 # Most (tree, row) pairs a forest is grown or walked with at once, level by
 # level: `grow` takes trees in chunks of max(1, _CHUNK_PAIRS // pairs_per_tree),
-# and `leaf_sums` walks them that way up to _CHUNK_PAIRS rows. At 1 << 14 a
+# and `leaf_sums` tiles them the same way over a block of rows. At 1 << 14 a
 # 100-tree CART fit on 1,300 rows peaks near 2.5 MB of heap; each doubling
 # about doubles that, for up to ~20% less fit time.
 _CHUNK_PAIRS = 1 << 14
+
+# Most rows of X `leaf_sums` copies and walks at once.
+_ROW_BLOCK = 1 << 12
 
 
 class Level(NamedTuple):
@@ -118,9 +122,10 @@ def grow(
             node = 2 * (np.cumsum(split) - 1)[node] + going_right
             tree = np.repeat(tree[parents], 2)
             depth += 1
-    # Renumber tree by tree; a stable sort keeps each tree's level order.
+    # Renumber tree by tree; a stable sort keeps each tree's level order, and
+    # on the narrowest integer type that holds a tree index numpy sorts by radix.
     tree, feature, value, left, payload = (np.concatenate(c) for c in zip(*levels))
-    order = np.argsort(tree, kind="stable")
+    order = np.argsort(tree.astype(np.min_scalar_type(len(rngs) - 1)), kind="stable")
     new_id = np.empty_like(order)
     new_id[order] = np.arange(order.size)
     left = left[order]
@@ -139,71 +144,38 @@ def leaf_sums(
 ) -> np.ndarray:
     """Per row of X, the sum over trees, in tree order, of payload at the leaf it reaches.
 
-    Up to _CHUNK_PAIRS rows, the (tree, row) pairs of a chunk of trees descend
-    together one level per step. With more rows, each block of _CHUNK_PAIRS
-    rows walks each tree on its own, partitioning the row indices at every
-    node. Both give the same sums; each was the slower one on one side of
-    that row count.
+    One walk for any row count: rows go in blocks of at most _ROW_BLOCK,
+    each copied column-major once, and trees in chunks of
+    max(1, _CHUNK_PAIRS // block rows). Every (tree, row) pair of such a tile
+    descends one level per step, until no pair moves. A leaf is absorbing:
+    the walk reads it as a cut on feature 0 at NaN whose right child is the
+    leaf itself, and nothing is below NaN.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     n = X.shape[0]
+    leaf = left < 0
+    step_feature = np.where(leaf, 0, feature).astype(np.intp)
+    step_value = np.where(leaf, np.nan, value)
+    right = np.where(leaf, np.arange(left.size), left + 1).astype(np.intp)
+    roots = np.asarray(roots, dtype=np.intp)
     total = np.zeros(n, dtype=np.float64)
-    if n > _CHUNK_PAIRS:
-        table = feature.tolist(), value.tolist(), left.tolist(), payload.tolist()
-        for start in range(0, n, _CHUNK_PAIRS):
-            # One contiguous copy per block, so each node reads a feature's
-            # values from one row of it instead of a strided column of X;
-            # a block at a time bounds the copy.
-            block = np.ascontiguousarray(X[start : start + _CHUNK_PAIRS].T)
-            at_leaf = np.empty(block.shape[1], dtype=np.float64)
-            block_total = total[start : start + _CHUNK_PAIRS]
-            for root in roots.tolist():
-                _fill_by_partition(table, root, block, at_leaf)
-                block_total += at_leaf
-        return total
-    per_chunk = max(1, _CHUNK_PAIRS // max(n, 1))
-    for t in range(0, len(roots), per_chunk):
-        for leaves in _leaf_nodes(feature, value, left, roots[t : t + per_chunk], X):
-            total += payload[leaves]
+    for start in range(0, n, _ROW_BLOCK):
+        b = min(_ROW_BLOCK, n - start)
+        block = X[start : start + b].ravel(order="F")
+        at_feature = step_feature * b  # where each node's feature starts in block
+        per_chunk = max(1, _CHUNK_PAIRS // b)
+        column = np.tile(np.arange(b), min(per_chunk, roots.size))
+        block_total = total[start : start + b]
+        for t in range(0, roots.size, per_chunk):
+            chunk = roots[t : t + per_chunk]
+            node = np.repeat(chunk, b)
+            col = column[: node.size]
+            while True:
+                # Not `>=`: a NaN goes right.
+                moved = right[node] - (block[at_feature[node] + col] < step_value[node])
+                if np.array_equal(moved, node):
+                    break
+                node = moved
+            for leaves in payload[node].reshape(chunk.size, b):
+                block_total += leaves
     return total
-
-
-def _fill_by_partition(table: tuple, root: int, XT: np.ndarray, out: np.ndarray) -> None:
-    """Write into out the payload at the leaf each column of XT reaches in the tree at `root`.
-
-    XT is a block of rows of X, transposed: one row per feature.
-    """
-    feature, value, left, payload = table
-    stack = [(root, np.arange(XT.shape[1]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        child = left[node]
-        if child < 0:
-            out[idx] = payload[node]
-            continue
-        going_left = XT[feature[node]][idx] < value[node]
-        stack.append((child, idx[going_left]))
-        stack.append((child + 1, idx[~going_left]))
-
-
-def _leaf_nodes(
-    feature: np.ndarray, value: np.ndarray, left: np.ndarray, roots: np.ndarray, X: np.ndarray
-) -> np.ndarray:
-    """Leaf each row of X reaches in each tree from `roots`, shape (len(roots), n).
-
-    Every (tree, row) pair descends one level per step, all pairs together; a
-    pair drops out once it stands on a leaf.
-    """
-    n, d = X.shape
-    flat_X = X.ravel()
-    node = np.repeat(np.asarray(roots, dtype=np.intp), n)
-    active = np.flatnonzero(left[node] >= 0)
-    while active.size:
-        at = node[active]
-        going_right = ~(flat_X[active % n * d + feature[at]] < value[at])
-        at = left[at] + going_right
-        node[active] = at
-        active = active[left[at] >= 0]
-    return node.reshape(len(roots), n)

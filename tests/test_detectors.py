@@ -23,7 +23,7 @@ from occkit.detectors import (
     save_detector,
     score,
 )
-from oracles import forest_fit_oracle, lof_brute_oracle
+from oracles import CUTS, forest_fit_oracle, lof_brute_oracle
 
 EULER_MASCHERONI = 0.5772156649
 
@@ -485,13 +485,39 @@ def test_forest_fit_table_equals_node_by_node_oracle(case):
     _assert_same_table(fit(config, X), forest_fit_oracle(config, X))
 
 
+def test_stochastic_fit_on_mostly_duplicate_rows_equals_oracle(monkeypatch):
+    # 85% of the cells are 0, so most rows are (0, 0, 0): a retry fails
+    # whenever its datum is a node's minimum on its feature, and a node of
+    # identical rows fails all of them.
+    X = (np.random.default_rng(11).uniform(size=(300, 3)) < 0.15).astype(np.float64)
+    config = DetectorConfig(variant="stochastic-forest", n_trees=40, subsample=128, seed=5)
+    taken = []  # per oracle cut, the retry that cut it, or None
+
+    def counting_cut(X, idx, u):
+        for retry, (feature_u, datum_u) in enumerate(u.reshape(-1, 2)):
+            feature = int(feature_u * X.shape[1])
+            value = float(X[idx[int(datum_u * idx.size)], feature])
+            if (X[idx, feature] < value).any():
+                taken.append(retry)
+                return feature, value
+        taken.append(None)
+        return None
+
+    monkeypatch.setitem(CUTS, "stochastic-forest", counting_cut)
+    want = forest_fit_oracle(config, X)
+    assert set(range(1, detectors._SPLIT_RETRIES)) <= set(taken) and None in taken
+    _assert_same_table(fit(config, X), want)
+
+
 @pytest.mark.parametrize("variant", _FORESTS)
 def test_forest_fit_table_does_not_depend_on_chunking(variant, monkeypatch):
     X = np.round(np.random.default_rng(8).uniform(size=(150, 3)), 1)
     config = DetectorConfig(variant=variant, n_trees=25, subsample=64, seed=2)
     batched = fit(config, X)
     assert batched.roots.size == 25
-    # One tree per chunk, then 4 trees per chunk with a last chunk of one.
+    # One tree per chunk, then 4 isolation trees (768 // (64 rows x 3
+    # features)) or 12 stochastic trees (768 // 64 rows) per chunk, each
+    # with a last chunk of one.
     for chunk_pairs in (1, 768):
         monkeypatch.setattr(trees, "_CHUNK_PAIRS", chunk_pairs)
         chunked = fit(config, X)

@@ -44,35 +44,56 @@ def _descend_sums(feature, value, left, roots, payload, X):
 
 
 def _forest(kind):
-    """Node table plus payload, probes, the forest's public scorer, and sums -> its output."""
+    """Node table plus payload, the forest's public scorer, and sums -> its output."""
     rng = np.random.default_rng(6)
-    if kind != "cart-nan":
-        det = fit(DetectorConfig(variant=kind, n_trees=7, subsample=32, seed=3), rng.normal(size=(60, 3)))
-        table = det.feature, det.value, det.left, det.roots, det.path_length
-        return table, rng.normal(size=(50, 3)), lambda X: score(det, X), lambda sums: sums / 7
-    X = rng.uniform(size=(120, 3))
-    y = (X[:, 0] + rng.normal(0, 0.2, size=120) > 0.5).astype(np.int64)
-    model = rf_fit(X, y, ForestConfig(n_trees=9, min_leaf=2), seed=1)
-    probes = rng.uniform(size=(50, 3))
-    probes[rng.uniform(size=probes.shape) < 0.2] = np.nan  # NaN goes right
-    attack = (model.counts[:, 1] >= model.counts[:, 0]).astype(np.float64)
-    table = model.feature, model.value, model.left, model.roots, attack
-    return table, probes, lambda X: rf_predict(model, X), lambda sums: (2 * sums >= 9).astype(np.int64)
+    if kind == "cart-nan":
+        X = rng.uniform(size=(120, 3))
+        y = (X[:, 0] + rng.normal(0, 0.2, size=120) > 0.5).astype(np.int64)
+        model = rf_fit(X, y, ForestConfig(n_trees=9, min_leaf=2), seed=1)
+        attack = (model.counts[:, 1] >= model.counts[:, 0]).astype(np.float64)
+        table = model.feature, model.value, model.left, model.roots, attack
+        return table, lambda X: rf_predict(model, X), lambda sums: (2 * sums >= 9).astype(np.int64)
+    variant = "stochastic-forest" if kind == "leaf-first" else kind
+    det = fit(DetectorConfig(variant=variant, n_trees=7, subsample=32, seed=3), rng.normal(size=(60, 3)))
+    table = det.feature, det.value, det.left, det.roots, det.path_length
+    if kind == "leaf-first":
+        # Put a tree that is one leaf, node 0, in front of the last 6 trees.
+        keep = slice(det.roots[1], None)
+        shift = det.roots[1] - 1
+        left = det.left[keep]
+        table = (
+            np.concatenate([[-1], det.feature[keep]]),
+            np.concatenate([[0.0], det.value[keep]]),
+            np.concatenate([[-1], np.where(left >= 0, left - shift, -1)]),
+            np.concatenate([[0], det.roots[1:] - shift]),
+            np.concatenate([[2.5], det.path_length[keep]]),
+        )
+        return table, None, None
+    return table, lambda X: score(det, X), lambda sums: sums / 7
 
 
-@pytest.mark.parametrize("kind", ["isolation-forest", "stochastic-forest", "cart-nan"])
+@pytest.mark.parametrize("kind", ["isolation-forest", "stochastic-forest", "cart-nan", "leaf-first"])
 def test_leaf_sums_branches_agree_with_row_by_row_descent(kind, monkeypatch):
-    table, probes, scorer, finish = _forest(kind)
+    table, scorer, finish = _forest(kind)
+    rng = np.random.default_rng(7)
+    probes = rng.normal(0.3, 0.6, size=(50, 3))
+    probes[rng.uniform(size=probes.shape) < 0.2] = np.nan  # NaN goes right
+    probes[np.arange(3), np.arange(3)] = np.nan  # at least one in every column
+    feature, value = table[0], table[1]
+    cut = np.flatnonzero(feature >= 0)[:20]
+    probes[10 + np.arange(cut.size), feature[cut]] = value[cut]  # a tie goes right
     want = _descend_sums(*table, probes)
-    got = {}
-    # 50 rows: 3 trees per level-synchronous chunk (the last one partial), or
-    # the row-partition walk once the rows exceed the pair budget, on row
-    # blocks of 49 + 1 or of 16 + 16 + 16 + 2.
-    for branch, pairs in (("level", 150), ("partition", 49), ("partition-16", 16)):
+    # Tile shapes over the 50 probes, as (_ROW_BLOCK, _CHUNK_PAIRS): row
+    # blocks of 16 + 16 + 16 + 2 with 2 trees per tile, then 20 on the last
+    # block; one block with 4 trees per tile (7 trees: 4 + 3; 9 trees:
+    # 4 + 4 + 1); one tree per tile.
+    for row_block, pairs in ((16, 40), (4096, 200), (4096, 1)):
+        monkeypatch.setattr(trees, "_ROW_BLOCK", row_block)
         monkeypatch.setattr(trees, "_CHUNK_PAIRS", pairs)
-        got[branch] = trees.leaf_sums(*table, probes)
-        assert got[branch].dtype == np.float64
-        assert got[branch].tolist() == want, branch
-        assert np.array_equal(scorer(probes), finish(np.array(want))), branch
-    assert np.array_equal(got["level"], got["partition"])
+        got = trees.leaf_sums(*table, probes)
+        assert got.dtype == np.float64
+        assert got.tolist() == want, (row_block, pairs)
+    if scorer is not None:
+        finite = ~np.isnan(probes).any(axis=1)
+        assert np.array_equal(scorer(probes[finite]), finish(np.array(want)[finite]))
     assert trees.leaf_sums(*table, probes[:0]).shape == (0,)
