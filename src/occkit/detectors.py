@@ -230,8 +230,9 @@ class _ForestDetector(FittedDetector):
             nodes, elements, seg = level.open((mass > 1) & (level.depth < limit))
             if nodes.size:
                 # A stable sort groups the rows by node, each node's in its
-                # subsample's order; on the narrowest integer type that holds
-                # seg, numpy sorts by radix.
+                # subsample's order. It runs on the narrowest integer type
+                # that holds seg: on a key of at most 16 bits numpy sorts by
+                # radix, on a wider one by timsort.
                 order = np.argsort(seg.astype(np.min_scalar_type(nodes.size - 1)), kind="stable")
                 rows = level.rows[elements[order]]
                 sizes = mass[nodes]

@@ -122,8 +122,9 @@ def grow(
             node = 2 * (np.cumsum(split) - 1)[node] + going_right
             tree = np.repeat(tree[parents], 2)
             depth += 1
-    # Renumber tree by tree; a stable sort keeps each tree's level order, and
-    # on the narrowest integer type that holds a tree index numpy sorts by radix.
+    # Renumber tree by tree; a stable sort keeps each tree's level order. It
+    # runs on the narrowest integer type that holds a tree index: on a key of
+    # at most 16 bits numpy sorts by radix.
     tree, feature, value, left, payload = (np.concatenate(c) for c in zip(*levels))
     order = np.argsort(tree.astype(np.min_scalar_type(len(rngs) - 1)), kind="stable")
     new_id = np.empty_like(order)
