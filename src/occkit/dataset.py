@@ -143,16 +143,14 @@ def _require_keys(raw: dict, allowed: set[str], where: str) -> None:
 
 @dataclass(frozen=True)
 class RawTable:
-    """A CSV table after its one parse: one array per non-ignored column, by name.
+    """A CSV table after its one parse: one array per non-ignored column, by name, in file order.
 
-    Numeric columns are float64, finite where a cell is given and NaN where
-    `missing` marks an empty cell; other columns are int64 codes into `texts`,
-    their sorted distinct non-empty cells, with -1 for an empty cell.
+    Numeric columns are float64, finite where a cell is given and NaN (the only
+    empty-cell marker) where it is empty; other columns are int64 codes into
+    `texts`, their sorted distinct non-empty cells, with -1 for an empty cell.
     """
 
-    header: tuple[str, ...]
     columns: dict[str, np.ndarray]
-    missing: dict[str, np.ndarray]
     texts: dict[str, tuple[str, ...]]
 
     @property
@@ -161,9 +159,7 @@ class RawTable:
 
     def subset(self, indices: Sequence[int]) -> RawTable:
         idx = np.asarray(indices, dtype=np.int64)
-        columns = {name: column[idx] for name, column in self.columns.items()}
-        missing = {name: mask[idx] for name, mask in self.missing.items()}
-        return RawTable(self.header, columns, missing, self.texts)
+        return RawTable({name: column[idx] for name, column in self.columns.items()}, self.texts)
 
 
 # bytes and byte pairs that keep a file from numpy's reader (see `_read_plain`)
@@ -173,10 +169,11 @@ _NOT_PLAIN = (b'"', b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\n\n", b"\n\r\n
 def load_csv(path: str | Path, schema: Schema) -> RawTable:
     """Read an RFC-4180 CSV with a header row into a RawTable, the only read of its cells.
 
-    A plain file goes through numpy's C reader (see `_read_plain`); any other
-    file, or a plain one that reader turns down, goes through the csv module.
-    Both readers accept the same files, give the same table and raise the
-    same errors, as the csv module is the only one that raises.
+    An empty numeric cell reads as NaN. A plain file goes through numpy's C
+    reader (see `_read_plain`); any other file, or a plain one that reader
+    turns down, goes through the csv module. Both readers accept the same
+    files, give the same table and raise the same errors, as the csv module
+    is the only one that raises.
 
     Raises:
         ValueError: if the header repeats a column or does not match the
@@ -200,8 +197,8 @@ def _read_plain(path: Path, schema: Schema) -> RawTable | None:
     data row, a blank line (numpy skips it, csv rejects it), a row of the
     wrong width, a line longer than csv's field size limit, a byte 0x1C-0x1F
     (numpy strips it from a number, `float` does not), or a numeric cell
-    numpy cannot parse (elsewhere its syntax is a subset of `float`'s) or
-    that is not finite.
+    numpy cannot parse (an empty one, NaN in the table, or where its syntax
+    is a subset of `float`'s) or that is not finite.
     """
     data = path.read_bytes()
     if any(byte in data for byte in _NOT_PLAIN) or data.count(b"\r") != data.count(b"\r\n"):
@@ -232,16 +229,15 @@ def _read_plain(path: Path, schema: Schema) -> RawTable | None:
             )
     except ValueError:
         return None
-    columns, missing, texts = {}, {}, {}
+    columns, texts = {}, {}
     for j, name in enumerate(header):
         if kinds[name] == "numeric":
             columns[name] = np.ascontiguousarray(rows[f"f{j}"])
             if not np.isfinite(columns[name]).all():
                 return None
-            missing[name] = np.zeros(len(rows), bool)
         elif kinds[name] != "ignored":
             columns[name], texts[name] = _code_texts(rows[f"f{j}"].tolist())
-    return RawTable(header=tuple(header), columns=columns, missing=missing, texts=texts)
+    return RawTable(columns, texts)
 
 
 def _read_with_csv(path: Path, schema: Schema) -> RawTable:
@@ -259,9 +255,9 @@ def _read_with_csv(path: Path, schema: Schema) -> RawTable:
         unknown = [c for c in header if c not in kinds]
         if unknown:
             raise ValueError(f"{path}: header has columns not in schema: {unknown}")
-        missing = sorted(set(kinds) - set(header))
-        if missing:
-            raise ValueError(f"{path}: header is missing schema columns: {missing}")
+        absent = sorted(set(kinds) - set(header))
+        if absent:
+            raise ValueError(f"{path}: header is missing schema columns: {absent}")
         rows = []
         for lineno, cells in enumerate(reader, start=2):
             if len(cells) != len(header):
@@ -270,16 +266,16 @@ def _read_with_csv(path: Path, schema: Schema) -> RawTable:
                 )
             rows.append(cells)
     by_column = np.array(rows, dtype=object).reshape(len(rows), len(header)).T
-    columns, missing_cells, texts = {}, {}, {}
+    columns, texts = {}, {}
     for j, name in enumerate(header):
         if kinds[name] == "ignored":
             continue
         cells = by_column[j].tolist()
         if kinds[name] == "numeric":
-            columns[name], missing_cells[name] = _parse_numeric(cells, name)
+            columns[name] = _parse_numeric(cells, name)
         else:
             columns[name], texts[name] = _code_texts(cells)
-    return RawTable(header=tuple(header), columns=columns, missing=missing_cells, texts=texts)
+    return RawTable(columns, texts)
 
 
 def _code_texts(cells: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -289,15 +285,14 @@ def _code_texts(cells: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.fromiter(map(code.__getitem__, cells), np.int64, len(cells)), texts
 
 
-def _parse_numeric(cells: list[str], column: str) -> tuple[np.ndarray, np.ndarray]:
-    """A numeric column as float64 plus its mask of empty cells, which read as NaN.
+def _parse_numeric(cells: list[str], column: str) -> np.ndarray:
+    """A numeric column as float64, NaN where a cell is empty and finite elsewhere.
 
     A cell that is not a number, or that reads as nan, inf or a value beyond
     the double range, raises ValueError naming the column and its data row.
     """
     try:
         values = np.fromiter(map(float, cells), np.float64, len(cells))
-        empty = np.zeros(len(cells), bool)
     except ValueError:  # an empty cell or one that is not a number: go cell by cell
         values = np.full(len(cells), np.nan)
         for i, cell in enumerate(cells):
@@ -308,12 +303,12 @@ def _parse_numeric(cells: list[str], column: str) -> tuple[np.ndarray, np.ndarra
                 raise ValueError(
                     f"column {column!r}, data row {i + 1}: cannot parse {cell!r} as a number"
                 ) from None
-        empty = np.array([not cell for cell in cells], dtype=bool)
-    bad = ~(np.isfinite(values) | empty)
-    if bad.any():
-        i = int(np.argmax(bad))
+    # an empty cell is NaN by design; any other cell that is not finite is rejected
+    bad = [i for i in np.flatnonzero(~np.isfinite(values)).tolist() if cells[i]]
+    if bad:
+        i = bad[0]
         raise ValueError(f"column {column!r}, data row {i + 1}: {cells[i]!r} is not a finite number")
-    return values, empty
+    return values
 
 
 @dataclass(frozen=True)
@@ -411,65 +406,60 @@ class SplitPlan:
 def fit_preprocessor(table: RawTable, schema: Schema) -> PreprocessorState:
     """Fit imputation means, category vocabularies and max-min ranges.
 
-    Means are computed over non-missing values only; categories are collected
-    in lexicographic order; min/max are those of the imputed, one-hot encoded
-    matrix, read off each column without building it: a one-hot feature's
-    max is 1 and its min is 1 only when every row holds its category.
+    Means are computed over the given (non-NaN) values only; categories are
+    collected in lexicographic order; min/max are those of the imputed,
+    one-hot encoded matrix, read off each column without building it: a
+    one-hot feature's max is 1 and its min is 1 only when every row holds
+    its category.
 
     Raises:
-        ValueError: on an empty table, a fully-missing numeric column, or a
-            schema with no feature columns.
+        ValueError: on an empty table, a fully-missing numeric column, a
+            schema with no feature columns, or two encoded features of one name.
     """
     if table.row_count == 0:
         raise ValueError("cannot fit a preprocessor on an empty table")
     if not schema.feature_columns:
         raise ValueError("schema has no numeric or categorical feature columns")
     means: dict[str, float] = {}
-    cats: dict[str, tuple[str, ...]] = {}
-    names = _feature_names(table, schema, means, cats)
+    counts: dict[str, np.ndarray] = {}
+    for name, kind in schema.feature_columns:
+        column = table.columns[name]
+        if kind == "numeric":
+            present = column[~np.isnan(column)]
+            if not present.size:
+                raise ValueError(f"numeric column {name!r} is entirely missing, cannot impute")
+            means[name] = math.fsum(present.tolist()) / present.size
+        else:
+            counts[name] = np.bincount(column + 1, minlength=len(table.texts[name]) + 1)[1:]
+    cats = {name: tuple(table.texts[name][code] for code in np.flatnonzero(c)) for name, c in counts.items()}
+    names = _feature_names(schema, cats)
+    if len(set(names)) != len(names):
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        raise ValueError(f"encoded feature names repeat: {repeated}")
     minmax: dict[str, tuple[float, float]] = {}
     for name, kind in schema.feature_columns:
         column = table.columns[name]
         if kind == "numeric":
-            imputed = np.where(table.missing[name], means[name], column)
+            imputed = np.where(np.isnan(column), means[name], column)
             if len(names) > 1:
                 # as a column of the encoded matrix, a strided view: numpy's
                 # contiguous min/max may pick the other sign of a zero extreme
                 imputed = np.stack((imputed, imputed), axis=1)[:, 0]
             minmax[name] = (float(imputed.min()), float(imputed.max()))
         else:
-            counts = np.bincount(column + 1, minlength=len(table.texts[name]) + 1)[1:]
-            for code in np.flatnonzero(counts):
-                minmax[f"{name}={table.texts[name][code]}"] = (float(counts[code] == column.size), 1.0)
+            for text, count in zip(cats[name], counts[name][counts[name] > 0].tolist()):
+                minmax[f"{name}={text}"] = (float(count == column.size), 1.0)
     return PreprocessorState(imputation_means=means, category_maps=cats, minmax=minmax)
 
 
-def _feature_names(
-    table: RawTable,
-    schema: Schema,
-    means: dict[str, float],
-    cats: dict[str, tuple[str, ...]],
-) -> tuple[str, ...]:
-    """Output feature names of the encoded table.
-
-    A feature column with no entry in means / cats is fitted on this table and
-    the entry added.
-    """
+def _feature_names(schema: Schema, category_maps: dict[str, tuple[str, ...]]) -> tuple[str, ...]:
+    """Encoded feature names: a numeric column's name, one `column=value` per category."""
     names: list[str] = []
     for name, kind in schema.feature_columns:
-        column = table.columns[name]
         if kind == "numeric":
-            if name not in means:
-                present = column[~table.missing[name]]
-                if not present.size:
-                    raise ValueError(f"numeric column {name!r} is entirely missing, cannot impute")
-                means[name] = math.fsum(present.tolist()) / present.size
             names.append(name)
         else:
-            if name not in cats:
-                texts = table.texts[name]
-                cats[name] = tuple(texts[code] for code in np.unique(column[column >= 0]))
-            names.extend(f"{name}={v}" for v in cats[name])
+            names.extend(f"{name}={v}" for v in category_maps[name])
     return tuple(names)
 
 
@@ -513,27 +503,29 @@ def apply_preprocessor(state: PreprocessorState, table: RawTable, schema: Schema
 
     Missing numerics take the fitted mean, unseen categories map to an
     all-zero block, scaling uses the fitted ranges without clipping, and
-    constant features (min == max) map to 0.
+    constant features (min == max) map to 0. A schema whose feature columns
+    differ from the fitted ones (one added, dropped or of another kind)
+    raises ValueError.
     """
-    # copies, so a column the state lacks is fitted here and rejected below
-    means, cats = dict(state.imputation_means), dict(state.category_maps)
-    names = _feature_names(table, schema, means, cats)
-    if names != state.feature_names:
-        raise ValueError("table columns do not match the schema/state used at fit time")
+    fitted = dict.fromkeys(state.imputation_means, "numeric")
+    fitted |= dict.fromkeys(state.category_maps, "categorical")
+    names = state.feature_names
+    if fitted != dict(schema.feature_columns) or _feature_names(schema, state.category_maps) != names:
+        raise ValueError("schema feature columns do not match those the state was fitted with")
     X = np.zeros((table.row_count, len(names)))
     j = 0
     for name, kind in schema.feature_columns:
         column = table.columns[name]
         if kind == "numeric":
-            X[:, j] = np.where(table.missing[name], means[name], column)
+            X[:, j] = np.where(np.isnan(column), state.imputation_means[name], column)
             j += 1
         else:
-            index = {v: k for k, v in enumerate(cats[name])}
+            index = {v: k for k, v in enumerate(state.category_maps[name])}
             # an unseen or missing (code -1, the trailing slot) category stays all-zero
             slots = np.array([index.get(text, -1) for text in table.texts[name]] + [-1])[column]
             rows = np.flatnonzero(slots >= 0)
             X[rows, j + slots[rows]] = 1.0
-            j += len(cats[name])
+            j += len(index)
     lo = np.array([state.minmax[f][0] for f in names], dtype=np.float64)
     hi = np.array([state.minmax[f][1] for f in names], dtype=np.float64)
     span = hi - lo

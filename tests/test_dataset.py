@@ -48,7 +48,7 @@ def test_load_csv_basic(tmp_path):
     )
     table = load_csv(path, SCHEMA)
     assert table.row_count == 3
-    assert len(table.header) == 4
+    assert len(table.columns) == 4
 
 
 def test_load_csv_empty_cell_is_missing(tmp_path):
@@ -58,7 +58,6 @@ def test_load_csv_empty_cell_is_missing(tmp_path):
         "duration,proto,label,attack_cat\n,tcp,normal,\n",
     )
     table = load_csv(path, SCHEMA)
-    assert table.missing["duration"].tolist() == [True]
     assert np.isnan(table.columns["duration"][0])
     assert table.texts["proto"][table.columns["proto"][0]] == "tcp"
 
@@ -104,9 +103,8 @@ def _outcome(read, path):
     except ValueError as exc:
         return "error", str(exc)
     return (
-        table.header,
+        list(table.columns),
         {name: (col.dtype.str, col.tobytes()) for name, col in table.columns.items()},
-        {name: mask.tobytes() for name, mask in table.missing.items()},
         table.texts,
     )
 
@@ -239,7 +237,7 @@ def test_non_numeric_cell_names_column_and_data_row(tmp_path):
 def test_header_only_csv_is_an_empty_table(tmp_path):
     table = _table(tmp_path, "")
     assert table.row_count == 0
-    assert len(table.header) == 4
+    assert len(table.columns) == 4
     with pytest.raises(ValueError, match="empty table"):
         fit_preprocessor(table, SCHEMA)
 
@@ -250,6 +248,44 @@ def test_fit_rejects_zero_feature_schema(tmp_path):
     table = load_csv(path, schema)
     with pytest.raises(ValueError, match="no numeric or categorical"):
         fit_preprocessor(table, schema)
+
+
+def test_fit_rejects_colliding_encoded_names(tmp_path):
+    # a numeric column "proto=tcp" and the one-hot of category "tcp" in column "proto"
+    schema = Schema(columns=(("proto=tcp", "numeric"),) + SCHEMA.columns)
+    path = _write(
+        tmp_path,
+        "c.csv",
+        "proto=tcp,duration,proto,label,attack_cat\n"
+        "5,1,tcp,normal,\n7,2,udp,normal,\n9,3,tcp,attack,dos\n",
+    )
+    table = load_csv(path, schema)
+    with pytest.raises(ValueError, match=r"encoded feature names repeat: \['proto=tcp'\]"):
+        fit_preprocessor(table, schema)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        pytest.param(SCHEMA.columns + (("extra", "numeric"),), id="numeric-added"),
+        pytest.param(SCHEMA.columns + (("extra", "categorical"),), id="categorical-added"),
+        pytest.param(tuple(c for c in SCHEMA.columns if c[0] != "duration"), id="column-dropped"),
+        pytest.param(
+            tuple((n, "categorical" if n == "duration" else k) for n, k in SCHEMA.columns),
+            id="kind-switched",
+        ),
+        pytest.param((SCHEMA.columns[1], SCHEMA.columns[0]) + SCHEMA.columns[2:], id="columns-reordered"),
+    ],
+)
+def test_apply_rejects_a_state_fitted_under_another_schema(tmp_path, columns):
+    state = fit_preprocessor(_table(tmp_path, "1,tcp,normal,\n3,udp,attack,dos\n"), SCHEMA)
+    other = Schema(columns=columns)
+    header = ",".join(n for n, _ in columns)
+    cells = {"duration": "2", "proto": "tcp", "label": "attack", "attack_cat": "dos", "extra": "4"}
+    path = _write(tmp_path, "o.csv", f"{header}\n" + ",".join(cells[n] for n, _ in columns) + "\n")
+    table = load_csv(path, other)
+    with pytest.raises(ValueError, match="do not match those the state was fitted with"):
+        apply_preprocessor(state, table, other)
 
 
 def test_apply_imputes_with_fitted_mean(tmp_path):

@@ -69,9 +69,9 @@ def test_table_has_the_cases_it_claims(tmp_path):
     csv_path, schema_path = _write_table(tmp_path)
     schema = load_schema(schema_path)
     table = load_csv(csv_path, schema)
-    assert table.missing["duration"].any()
+    assert np.isnan(table.columns["duration"]).any()
     assert -1 in table.columns["flag"]
-    assert not table.missing["const"].any() and set(table.columns["const"].tolist()) == {1.0}
+    assert not np.isnan(table.columns["const"]).any() and set(table.columns["const"].tolist()) == {1.0}
     y, _ = extract_labels(table, schema)
     rare_row = table.columns["proto"].tolist().index(table.texts["proto"].index(RARE))
     train_has_rare = []

@@ -1,4 +1,5 @@
-"""What `occkit` ships: each module's `__all__` resolves, and no test-only reference is left in it.
+"""What `occkit` ships: each module's `__all__` resolves, no test-only reference is left in it,
+and README's "What's inside" names it.
 
 The slow references the tests compare the product against (the node-by-node
 growers, the per-node cuts, brute-force LOF, every consensus level at once)
@@ -8,6 +9,7 @@ live in tests/oracles.py.
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,12 @@ def _test_only(name):
 
 def test_every_module_is_checked():
     assert {"occkit.detectors", "occkit.ensemble", "occkit.forest", "occkit.trees"} <= set(MODULES)
+
+
+def test_readme_names_every_module():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    inside = readme.split("## What's inside", 1)[1].split("\n## ", 1)[0]
+    assert [name for name in MODULES if f"`{name}`" not in inside] == []
 
 
 @pytest.mark.parametrize("name", MODULES)
