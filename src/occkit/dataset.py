@@ -10,6 +10,7 @@ erase the anomaly signal one-class detectors rely on.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -197,8 +198,8 @@ def _read_plain(path: Path, schema: Schema) -> RawTable | None:
     data row, a blank line (numpy skips it, csv rejects it), a row of the
     wrong width, a line longer than csv's field size limit, a byte 0x1C-0x1F
     (numpy strips it from a number, `float` does not), or a numeric cell
-    numpy cannot parse (an empty one, NaN in the table, or where its syntax
-    is a subset of `float`'s) or that is not finite.
+    numpy cannot parse (where its syntax is a subset of `float`'s) or that is
+    not finite. An empty numeric cell is handed to numpy as "nan".
     """
     data = path.read_bytes()
     if any(byte in data for byte in _NOT_PLAIN) or data.count(b"\r") != data.count(b"\r\n"):
@@ -219,11 +220,24 @@ def _read_plain(path: Path, schema: Schema) -> RawTable | None:
         "names": [f"f{j}" for j in range(len(header))],
         "formats": [np.float64 if kinds[name] == "numeric" else object for name in header],
     })
+    # An empty numeric cell is read as "nan"; NaN is accepted there only, as
+    # any other cell that is not finite sends the file to csv.
+    at, row, column = _empty_cells(data, ends)
+    if column.size and column.max() >= len(header):
+        return None
+    numeric = np.array([kinds[name] == "numeric" for name in header])
+    at, row, column = at[numeric[column]], row[numeric[column]], column[numeric[column]]
+    if at.size:
+        cuts = [0, *at.tolist(), len(data)]
+        marked = b"nan".join(data[a:b] for a, b in zip(cuts, cuts[1:]))
+        source = io.TextIOWrapper(io.BytesIO(marked), encoding="utf-8")
+    else:
+        source = open(path, encoding="utf-8")
     del data
     try:
         # every row's width is checked, as no usecols is given; max_rows sizes
         # the result once
-        with open(path, encoding="utf-8") as fh:
+        with source as fh:
             rows = np.loadtxt(
                 fh, dtype, comments=None, delimiter=",", skiprows=1, max_rows=n_rows, ndmin=1
             )
@@ -233,11 +247,36 @@ def _read_plain(path: Path, schema: Schema) -> RawTable | None:
     for j, name in enumerate(header):
         if kinds[name] == "numeric":
             columns[name] = np.ascontiguousarray(rows[f"f{j}"])
-            if not np.isfinite(columns[name]).all():
+            given = np.ones(len(columns[name]), dtype=bool)
+            given[row[column == j]] = False
+            if not np.isfinite(columns[name][given]).all():
                 return None
         elif kinds[name] != "ignored":
             columns[name], texts[name] = _code_texts(rows[f"f{j}"].tolist())
     return RawTable(columns, texts)
+
+
+def _empty_cells(data: bytes, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(offset, data row, column) of each empty cell of a plain file, by offset.
+
+    `ends` holds the offsets of the file's LFs, the header's first. A data
+    cell is empty where a comma, CR or LF comes right after a comma or LF,
+    and where the file ends in a comma; the offset is where the cell ends.
+    """
+    byte = np.frombuffer(data, np.uint8)
+    start = ends[0]
+    splits = byte == ord(",")
+    splits |= byte == ord("\n")
+    closes = byte[start + 1 :] == ord("\r")
+    closes |= splits[start + 1 :]
+    closes &= splits[start:-1]
+    at = np.flatnonzero(closes) + start + 1
+    if data.endswith(b","):
+        at = np.append(at, len(data))
+    row = np.searchsorted(ends, at)  # LFs before the cell: its data row + 1
+    commas = np.flatnonzero(byte == ord(",")) if at.size else at
+    column = np.searchsorted(commas, at) - np.searchsorted(commas, ends[row - 1] + 1)
+    return at, row - 1, column
 
 
 def _read_with_csv(path: Path, schema: Schema) -> RawTable:

@@ -209,8 +209,8 @@ class _ForestDetector(FittedDetector):
     # The node table, in the order `trees.grow` returns it.
     _STATE = (("feature", "n"), ("value", "n"), ("left", "n"), ("roots", "t"), ("path_length", "n"))
 
-    # Whether `_cuts` reads every column of a node's rows: if so, a chunk of
-    # trees counts (tree, row, feature) triples against trees._CHUNK_PAIRS,
+    # Whether `_cuts` reads every column of a node's rows: if so, a grower
+    # step counts (tree, row, feature) triples against trees._CHUNK_PAIRS,
     # else (tree, row) pairs.
     _READS_EVERY_COLUMN = True
 
@@ -243,13 +243,13 @@ class _ForestDetector(FittedDetector):
                 value[nodes[ok]] = cut_value[ok]
             leaf = feature < 0
             path_length = np.zeros(k)
-            path_length[leaf] = level.depth + adjustment[mass[leaf]]
+            path_length[leaf] = level.depth[leaf] + adjustment[mass[leaf]]
             return feature, value, path_length
 
         def sample(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
             return rng.permutation(n)[:effective], unit
 
-        table = trees.grow(X, rngs, sample, rule, effective * (d if cls._READS_EVERY_COLUMN else 1))
+        table = trees.grow(X, rngs, sample, rule, d if cls._READS_EVERY_COLUMN else 1)
         return cls(config, d, **{name: array for (name, _), array in zip(cls._STATE, table)})
 
     def score(self, X: np.ndarray) -> np.ndarray:

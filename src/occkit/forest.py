@@ -3,7 +3,8 @@
 A plain CART ensemble (gini splits, bootstrap resampling, random feature
 subsets per node) built here so tree internals stay inspectable and
 deterministic. The forest is one flat node table (`occkit.trees`). `rf_fit`
-hands `trees.grow` the batched gini rule `_best_cuts`, and `rf_predict`
+codes each column once (`_codings`) and hands `trees.grow` the batched gini
+rule `_best_cuts`, a histogram over those codes, and `rf_predict`
 counts the trees' votes with `trees.leaf_sums`. The tests hold `rf_fit` to a
 node-by-node reference, `rf_fit_oracle` with the per-node rule `_best_split`
 (`tests/oracles.py`).
@@ -80,20 +81,28 @@ def _training_inputs(
         raise ValueError(f"need at least 2 training rows, got {n}")
     if len(np.unique(y)) < 2:
         raise ValueError("training data must contain both classes")
+    if np.isnan(X).any():
+        raise ValueError("training matrix holds NaN")
     n_split = min(config.features_per_split or math.ceil(math.sqrt(d)), d)
     return X, y, n_split
 
 
-def _splittable(total: np.ndarray, ones: np.ndarray, depth: int, config: ForestConfig) -> np.ndarray:
+def _splittable(total: np.ndarray, ones: np.ndarray, depth: np.ndarray, config: ForestConfig) -> np.ndarray:
     """Nodes that may split: both classes, room for two leaves, depth to spare."""
-    if config.max_depth is not None and depth >= config.max_depth:
-        return np.zeros(total.shape, dtype=bool)
-    return (ones > 0) & (ones < total) & (total >= 2 * config.min_leaf)
+    can = (ones > 0) & (ones < total) & (total >= 2 * config.min_leaf)
+    if config.max_depth is not None:
+        can &= depth < config.max_depth
+    return can
 
 
 def _features(keys: np.ndarray, n_split: int) -> np.ndarray:
     """Each node's features in trial order: its key row's first n_split argsort entries."""
     return np.argsort(keys, axis=1, kind="stable")[:, :n_split]
+
+
+# Heaviest node, in bagged rows, whose cuts _best_cuts searches on merged
+# bins; its docstring derives the bound.
+_MERGE_CAP = 4096
 
 
 def rf_fit(X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), seed: int = 0) -> ForestModel:
@@ -104,19 +113,16 @@ def rf_fit(X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), 
     split, in level order. A node tries the features its key row's stable
     argsort lists first (n_split of them, in that order) and takes the cut of
     lowest weighted gini: the earliest feature, then the lowest threshold,
-    among equals. Trees grow together in chunks; the table does not depend on
-    the chunking, and equals that of rf_fit_oracle in tests/oracles.py.
+    among equals. Trees join the grower as earlier ones drain; the table does
+    not depend on when each joins, and equals that of rf_fit_oracle in
+    tests/oracles.py.
 
     Raises:
-        ValueError: with fewer than 2 rows or a single class in y.
+        ValueError: with fewer than 2 rows, a single class in y or a NaN in X.
     """
     X, y, n_split = _training_inputs(X, y, config)
     n, d = X.shape
-    # ranks[f * n + i] is row i's position in column f sorted, so one integer
-    # sort orders the rows of every node by that node's own feature.
-    ranks = np.empty(d * n, dtype=np.int64)
-    for f in range(d):
-        ranks[f * n + np.argsort(X[:, f], kind="stable")] = np.arange(n)
+    codes, bins, merged = _codings(X, y, config.min_leaf == 1)
 
     def bag(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
@@ -133,10 +139,12 @@ def rf_fit(X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), 
         value = np.zeros(k)
         nodes, elements, seg = level.open(_splittable(total, ones, level.depth, config))
         if nodes.size:
+            coding = _features(level.draw(nodes, d), n_split)
+            if merged:
+                coding += np.where(total[nodes] <= _MERGE_CAP, merged, 0)[:, None]
             best, cut_feature, cut_value = _best_cuts(
-                X, ranks, level.rows[elements], level.weight[elements], attack[elements], seg,
-                _features(level.draw(nodes, d), n_split), total[nodes], ones[nodes],
-                config.min_leaf,
+                X, codes, bins, level.rows[elements], level.weight[elements], seg,
+                level.tree[nodes], coding, total[nodes], ones[nodes], config.min_leaf,
             )
             split = best < np.inf
             feature[nodes[split]] = cut_feature[split]
@@ -144,7 +152,7 @@ def rf_fit(X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), 
         return feature, value, np.column_stack([total - ones, ones]).astype(np.int32)
 
     rngs = [rng_for(seed, "tree", t) for t in range(config.n_trees)]
-    return _model(trees.grow(X, rngs, bag, rule, n), config, d)
+    return _model(trees.grow(X, rngs, bag, rule, 1), config, d)
 
 
 def _model(table: tuple[np.ndarray, ...], config: ForestConfig, d: int) -> ForestModel:
@@ -153,73 +161,188 @@ def _model(table: tuple[np.ndarray, ...], config: ForestConfig, d: int) -> Fores
     return ForestModel(feature, value, left, counts, roots, config, d)
 
 
+def _codings(X: np.ndarray, y: np.ndarray, merge: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """(codes, bins, merged): codes[c * n + i] = 2 * (row i's bin under coding c) + y[i].
+
+    Coding c has bins[c] bins. Without merge, coding f holds column f's value codes: one bin per
+    distinct value, in ascending order. With merge, coding merged + f holds
+    column f's merged bins, where consecutive distinct values whose rows all
+    have one class share a bin, and the value codes come first (merged = d)
+    only if a node can outweigh _MERGE_CAP, that is if n does; else merged
+    is 0. Codes take the narrowest unsigned type that holds them.
+    """
+    n, d = X.shape
+    merged = d if merge and n > _MERGE_CAP else 0
+    codings = merged + d if merge else d
+    codes = np.empty((codings, n), dtype=np.uint32)
+    bins = np.empty(codings, dtype=np.int64)
+    for f in range(d):
+        _, code = np.unique(X[:, f], return_inverse=True)
+        m = code.max() + 1
+        if not merge or merged:
+            codes[f], bins[f] = code, m
+        if merge:
+            attacks = np.bincount(code, weights=y, minlength=m)
+            # per distinct value: 0 if its rows are all normal, 1 all attack, 2 both
+            kind = np.where(attacks == 0, 0, np.where(attacks == np.bincount(code, minlength=m), 1, 2))
+            opens = np.concatenate([[True], (kind[1:] != kind[:-1]) | (kind[1:] == 2)])
+            bin_of = np.cumsum(opens) - 1
+            codes[merged + f], bins[merged + f] = bin_of[code], bin_of[-1] + 1
+    codes *= 2
+    codes += y.astype(np.uint32)
+    return codes.ravel().astype(np.min_scalar_type(2 * bins.max() - 1), copy=False), bins, merged
+
+
 def _best_cuts(
     X: np.ndarray,
-    ranks: np.ndarray,
+    codes: np.ndarray,
+    bins: np.ndarray,
     rows: np.ndarray,
     weight: np.ndarray,
-    attack: np.ndarray,
     seg: np.ndarray,
-    features: np.ndarray,
+    tree: np.ndarray,
+    coding: np.ndarray,
     total: np.ndarray,
     ones: np.ndarray,
     min_leaf: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(score, feature, threshold) of the best cut of every open node, score inf if none.
 
-    Element i belongs to open node seg[i], which tries features[seg[i]] in
-    order. Per feature slot, one integer argsort puts the elements in (node,
-    rank) order; each node's run of elements then gives every cut's class
-    counts by cumulative sums. Same arithmetic and tie order as the per-node
-    _best_split in tests/oracles.py.
+    Element i belongs to open node seg[i], of tree tree[seg[i]], which tries
+    the codings coding[seg[i]] of `_codings` in order; coding c reads column
+    c % d. Per slot, one weighted bincount over (node, bin, class) cells,
+    laid out node after node, gives every node's class counts per bin. A
+    node spans all its coding's bins or, when those of the slot's nodes
+    would fill more than one block, only the bins from the lowest to the
+    highest one its elements hold. Running sums per node over its
+    occupied bins give the counts of every cut, and gini is computed there
+    only, with the same `_gini` and float ops on the same whole-number
+    counts as the per-node _best_split in tests/oracles.py. Ties keep the
+    earliest slot, then the lowest bin. Cells go in blocks of whole trees
+    (a tree's nodes and elements are contiguous), each of at most
+    trees._CHUNK_PAIRS bins unless one tree holds more. A winning cut's
+    threshold is the midpoint of the node's largest value in the bin left of
+    it and its smallest in the next occupied bin, both taken in one pass
+    over the elements.
+
+    Value codes give exactly _best_split's cuts, so its scores, bit for bit.
+    Merged bins drop the cuts inside a run of one class; they are used only
+    with min_leaf 1 and at nodes of bagged weight N <= _MERGE_CAP, where no
+    dropped cut can win:
+
+    - Moving x of the node's N bagged rows left, with z rows of the other
+      class on the left and z' on the right, N * score is
+      2 (z + z') - 2 (z^2 / x + z'^2 / (N - x)). Along a run of one class z
+      and z' stay fixed and z + z' >= 1 (an open node holds both classes),
+      so this is strictly concave in x, with second derivative at most
+      -4 / N^3.
+    - A dropped cut x lies strictly inside its run, at least 1 from each of
+      its ends a < x < b, so N * score(x) is at least 2 / N^3 above the chord
+      between them: score(x) >= min(score(a), score(b)) + 2 / N^4.
+    - The ends are cuts that merged bins keep, with one exception that does
+      not matter: a first run has a = 0 (nothing left), but there z = 0 and
+      the score falls with x, so b is the better end; for a last run z' = 0
+      and a is.
+    - Each computed score is within 8u of its exact value (u = 2^-53): each
+      gini is within 5u, the two weighted terms within 6uN together, and the
+      division adds u. So a dropped cut computes strictly above its better
+      end while 2 / N^4 > 16u, that is N < 2^12.5 (about 5,790); _MERGE_CAP
+      is 2^12.
+    - With min_leaf > 1 an end may be barred while a cut inside its run is
+      not, so merged bins are not used.
     """
     n, d = X.shape
-    flat_X = X.ravel()
     k = total.size
-    sizes = np.bincount(seg, minlength=k)
-    starts = np.cumsum(sizes) - sizes
-    node = np.repeat(np.arange(k), sizes)  # node of each element once sorted
-    at = node[:-1]  # node of the cut after each sorted element
-    inside = node[1:] == at
-    n_node, ones_node = total[at], ones[at]
-    seg_key = seg * n
+    element_bounds = np.concatenate([[0], np.cumsum(np.bincount(seg, minlength=k))])
+    tree_ends = np.flatnonzero(np.append(tree[1:] != tree[:-1], True)) + 1
     best = np.full(k, np.inf)
-    cut_feature = np.zeros(k, dtype=np.int64)
-    cut_value = np.zeros(k)
-    for slot in features.T:
-        order = np.argsort(seg_key + ranks[slot[seg] * n + rows])
-        xs = flat_X[rows[order] * d + slot[node]]
-        # Taking the previous node's totals off each run's first element makes
-        # the running sums restart at every node.
-        w, a = weight[order], attack[order]
-        w[starts[1:]] -= total[:-1]
-        a[starts[1:]] -= ones[:-1]
-        n_left, ones_left = np.cumsum(w)[:-1], np.cumsum(a)[:-1]
-        n_right = n_node - n_left
-        ones_right = ones_node - ones_left
-        # The cut after a run's last element has nothing on its right; it is masked below.
-        with np.errstate(invalid="ignore"):
-            score = _gini(n_left - ones_left, ones_left, n_left)
-            score *= n_left
-            right = _gini(n_right - ones_right, ones_right, n_right)
-            right *= n_right
-        score += right
-        score /= n_node
-        valid = xs[1:] > xs[:-1]
-        valid &= inside
-        if min_leaf > 1:
-            valid &= (n_left >= min_leaf) & (n_right >= min_leaf)
-        score[~valid] = np.inf
-        low = np.minimum.reduceat(score, starts)
-        # Every run holds its minimum, so the first hit at or after its start is its own.
-        hits = np.flatnonzero(score == low[at])
-        first = hits[np.searchsorted(hits, starts)]
-        better = low < best
-        best[better] = low[better]
-        cut_feature[better] = slot[better]
-        j = first[better]
-        cut_value[better] = (xs[j] + xs[j + 1]) / 2.0
-    return best, cut_feature, cut_value
+    won = np.zeros(k, dtype=np.int64)  # winning coding
+    # bins either side of the winning cut; -1 is no bin
+    below = np.full(k, -1)
+    above = np.full(k, -1)
+    for slot in coding.T:
+        code = codes[(slot * n)[seg] + rows]
+        # A node's bins run from first[node]: 0, or, where the full bins would
+        # not fit one block, the lowest bin its elements hold, up to the
+        # highest; deep nodes of a many-bin column would fill blocks with
+        # empty cells.
+        first = np.zeros(k, dtype=code.dtype)
+        span = bins[slot]
+        if span.sum() > trees._CHUNK_PAIRS:
+            top = np.zeros(k, dtype=code.dtype)
+            np.maximum.at(top, seg, code)
+            first[:] = np.iinfo(code.dtype).max
+            np.minimum.at(first, seg, code)
+            first >>= 1
+            span = (top >> 1) - first.astype(np.int64) + 1
+        cell_bounds = np.concatenate([[0], np.cumsum(span)])
+        # Two cells per (node, bin), its normal rows then its attack rows, as
+        # a code is twice the bin plus the row's class.
+        cell = (2 * (cell_bounds[:-1] - first))[seg] + code
+        for a, b in _tree_blocks(cell_bounds[tree_ends], tree_ends):
+            e0, e1 = element_bounds[a], element_bounds[b]
+            bounds = cell_bounds[a : b + 1] - cell_bounds[a]  # of the block's nodes' cells
+            local = cell[e0:e1] - 2 * cell_bounds[a] if a else cell[e0:e1]
+            counts = np.bincount(local, weights=weight[e0:e1], minlength=2 * bounds[-1])
+            ones_at = counts[1::2]
+            w = counts[::2] + ones_at
+            occupied = np.flatnonzero(w > 0)
+            w = w[occupied]
+            ones_at = ones_at[occupied]
+            starts = np.searchsorted(occupied, bounds[:-1])  # each node's first occupied cell
+            node = np.searchsorted(bounds[1:], occupied, side="right")  # in the block
+            n_block, ones_block = total[a:b], ones[a:b]
+            # Taking the previous node's totals off each node's first cell
+            # makes the running sums restart at every node.
+            w[starts[1:]] -= n_block[:-1]
+            ones_at[starts[1:]] -= ones_block[:-1]
+            n_left, ones_left = np.cumsum(w), np.cumsum(ones_at)
+            n_node = n_block[node]
+            n_right = n_node - n_left
+            ones_right = ones_block[node] - ones_left
+            # The cut after a node's last cell has nothing on its right; it is masked below.
+            with np.errstate(invalid="ignore"):
+                score = _gini(n_left - ones_left, ones_left, n_left)
+                score *= n_left
+                right = _gini(n_right - ones_right, ones_right, n_right)
+                right *= n_right
+            score += right
+            score /= n_node
+            score[(n_left < min_leaf) | (n_right < min_leaf)] = np.inf
+            low = np.minimum.reduceat(score, starts)
+            # Every node holds its minimum, so the first hit at or after its start is its own.
+            hits = np.flatnonzero(score == low[node])
+            j = hits[np.searchsorted(hits, starts)]
+            better = low < best[a:b]
+            at = np.flatnonzero(better) + a
+            j = j[better]
+            best[at] = low[better]
+            won[at] = slot[at]
+            below[at] = occupied[j] - bounds[at - a] + first[at]
+            above[at] = occupied[j + 1] - bounds[at - a] + first[at]
+    feature = won % d
+    bin_of = codes[(won * n)[seg] + rows] >> 1
+    flat_X = X.ravel()
+    edges = []
+    for side, fill, pick in ((below, -np.inf, np.maximum), (above, np.inf, np.minimum)):
+        on = np.flatnonzero(bin_of == side[seg])
+        edge = np.full(k, fill)
+        pick.at(edge, seg[on], flat_X[rows[on] * d + feature[seg[on]]])
+        edges.append(edge)
+    threshold = np.zeros(k)
+    cut = best < np.inf
+    threshold[cut] = (edges[0][cut] + edges[1][cut]) / 2.0
+    return best, feature, threshold
+
+
+def _tree_blocks(cells: np.ndarray, tree_ends: np.ndarray):
+    """(first, end) node ranges of whole trees, in order, each of at most
+    trees._CHUNK_PAIRS cells or of one tree; cells[t] counts the cells of trees up to t."""
+    first = done = i = 0
+    while i < tree_ends.size:
+        i = max(i + 1, int(np.searchsorted(cells, done + trees._CHUNK_PAIRS, side="right")))
+        yield first, tree_ends[i - 1]
+        first, done = tree_ends[i - 1], cells[i - 1]
 
 
 def _gini(zeros: np.ndarray, ones: np.ndarray, size: np.ndarray) -> np.ndarray:

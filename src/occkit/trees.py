@@ -6,9 +6,10 @@ included) to node left[i] + 1; a leaf has feature[i] == left[i] == -1. Each
 forest attaches a per-node payload that only its leaves use (a CART tree's
 class counts, a detector tree's path length).
 
-`grow` builds the table of every forest: the trees of a chunk grow together,
-one depth per step, and a forest supplies only its batched split rule, which
-picks one cut per open node of a depth. `leaf_sums` adds up the payload of
+`grow` builds the table of every forest: each growing tree advances one
+depth per step, trees join as earlier ones drain, and a forest supplies only
+its batched split rule, which picks one cut per open node of a step.
+`leaf_sums` adds up the payload of
 the leaf each row reaches in every tree, in one tiled walk: a block of rows
 against a chunk of trees, one level per step. The tests hold `grow` to
 `grow_oracle` (`tests/oracles.py`), which builds the same table one tree and
@@ -24,10 +25,11 @@ import numpy as np
 __all__ = ["Level", "grow", "leaf_sums"]
 
 # Most (tree, row) pairs a forest is grown or walked with at once, level by
-# level: `grow` takes trees in chunks of max(1, _CHUNK_PAIRS // pairs_per_tree),
-# and `leaf_sums` tiles them the same way over a block of rows. At 1 << 14 a
-# 100-tree CART fit on 1,300 rows peaks near 2.5 MB of heap; each doubling
-# about doubles that, for up to ~20% less fit time.
+# level: a `grow` step holds at most this many (a tree alone may hold more),
+# `forest._best_cuts` histograms at most this many cells at once, and
+# `leaf_sums` tiles trees the same way over a block of rows. At 1 << 14 the
+# 100-tree CART fit on 1,300 rows of tests/test_supervised.py peaks at
+# 3.64 MB of traced heap, most of it the node table itself.
 _CHUNK_PAIRS = 1 << 14
 
 # Most rows of X `leaf_sums` copies and walks at once.
@@ -35,18 +37,20 @@ _ROW_BLOCK = 1 << 12
 
 
 class Level(NamedTuple):
-    """The nodes of one depth of a chunk of trees, as a split rule sees them.
+    """The nodes of one step of the growing trees, as a split rule sees them.
 
-    Nodes are ordered by tree, then in level order. Each element is a row of
-    its tree's sample; elements keep the order the samples gave them.
+    Each growing tree has one depth per step. Nodes are ordered by tree,
+    then in level order. Each element is a row of its tree's sample;
+    elements keep the order the samples gave them, so a tree's nodes and
+    its elements are contiguous.
     """
 
-    depth: int
-    tree: np.ndarray  # tree of each node, numbered within the chunk
+    depth: np.ndarray  # depth of each node
+    tree: np.ndarray  # tree of each node, as its index in rngs
     rows: np.ndarray  # row of X of each element
     weight: np.ndarray  # how often its tree's sample drew each element
     node: np.ndarray  # node of each element
-    rngs: Sequence[np.random.Generator]  # one stream per tree of the chunk
+    rngs: Sequence[np.random.Generator]  # streams of consecutive trees, the growing ones among them
 
     def open(self, can_split: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(nodes, elements, seg) of the nodes a rule may cut.
@@ -79,49 +83,68 @@ def grow(
     rngs: Sequence[np.random.Generator],
     sample: Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]],
     rule: SplitRule,
-    pairs_per_tree: int,
+    pairs_per_row: int,
 ) -> tuple[np.ndarray, ...]:
     """(feature, value, left, roots, payload) of one tree per stream in rngs.
 
     Tree t draws from rngs[t] only: first sample(rng), its rows and how often
     each was drawn, then whatever the rule draws per depth through
-    Level.draw. Trees grow in chunks of max(1, _CHUNK_PAIRS // pairs_per_tree),
-    each chunk one depth per step; the table does not depend on the chunking.
-    Each tree's nodes are stored together, in level order, left child before
-    right.
+    Level.draw. Each growing tree advances one depth per step, and trees
+    join in order, at depth 0, while the step's elements times pairs_per_row
+    stay within _CHUNK_PAIRS (a tree alone always may): a tree joins as soon
+    as the earlier ones have drained enough. The table does not depend on
+    when a tree joins. Each tree's nodes are stored together, in level
+    order, left child before right.
     """
-    per_chunk = max(1, _CHUNK_PAIRS // pairs_per_tree)
     d = X.shape[1]
     flat_X = X.ravel()
     levels = []
     first_id = 0  # nodes are numbered once, in the order they are made
-    for t in range(0, len(rngs), per_chunk):
-        chunk = rngs[t : t + per_chunk]
-        rows, weight = zip(*(sample(rng) for rng in chunk))
-        node = np.repeat(np.arange(len(chunk)), [drawn.size for drawn in rows])
-        rows = np.concatenate(rows)
-        weight = np.concatenate(weight).astype(np.float64)
-        tree = np.arange(len(chunk))
-        depth = 0
-        while tree.size:
-            k = tree.size
-            feature, value, payload = rule(Level(depth, tree, rows, weight, node, chunk))
-            feature = np.asarray(feature, dtype=np.int32)
-            split = feature >= 0
-            parents = np.flatnonzero(split)
-            left = np.full(k, -1, dtype=np.int32)
-            left[parents] = first_id + k + 2 * np.arange(parents.size)
-            levels.append((tree + t, feature, value, left, payload))
-            first_id += k
-            if parents.size == 0:
+    tree = depth = rows = node = np.zeros(0, dtype=np.int64)  # tree and depth of each node
+    weight = np.zeros(0)
+    joined = 0  # trees that have joined so far
+    drawn = None  # the next tree's sample, once drawn
+    while True:
+        samples = []
+        elements = rows.size
+        while joined < len(rngs):
+            if drawn is None:
+                drawn = sample(rngs[joined])
+            if elements and (elements + drawn[0].size) * pairs_per_row > _CHUNK_PAIRS:
                 break
-            keep = split[node]
-            rows, weight, node = rows[keep], weight[keep], node[keep]
-            # Not `>=`: a NaN goes right, as in the walker.
-            going_right = ~(flat_X[rows * d + feature[node]] < value[node])
-            node = 2 * (np.cumsum(split) - 1)[node] + going_right
-            tree = np.repeat(tree[parents], 2)
-            depth += 1
+            samples.append(drawn)
+            elements += drawn[0].size
+            drawn = None
+            joined += 1
+        if samples:
+            sizes = [picked.size for picked, _ in samples]
+            node = np.concatenate([node, np.repeat(np.arange(tree.size, tree.size + len(samples)), sizes)])
+            rows = np.concatenate([rows] + [picked for picked, _ in samples])
+            weight = np.concatenate([weight] + [times for _, times in samples], dtype=np.float64)
+            tree = np.concatenate([tree, np.arange(joined - len(samples), joined)])
+            depth = np.concatenate([depth, np.zeros(len(samples), dtype=np.int64)])
+        k = tree.size
+        if k == 0:
+            break
+        # The rule sees the streams from the first growing tree to the last
+        # joined one, so tree - first indexes them.
+        first = tree[0]
+        feature, value, payload = rule(Level(depth, tree - first, rows, weight, node, rngs[first:joined]))
+        feature = np.asarray(feature, dtype=np.int32)
+        split = feature >= 0
+        parents = np.flatnonzero(split)
+        left = np.full(k, -1, dtype=np.int32)
+        left[parents] = first_id + k + 2 * np.arange(parents.size)
+        levels.append((tree, feature, value, left, payload))
+        first_id += k
+        keep = split[node]
+        rows, weight, node = rows[keep], weight[keep], node[keep]
+        # Not `>=`: a NaN goes right, as in the walker.
+        going_right = ~(flat_X[rows * d + feature[node]] < value[node])
+        node = (2 * np.cumsum(split) - 2)[node]
+        node += going_right
+        tree = np.repeat(tree[parents], 2)
+        depth = np.repeat(depth[parents] + 1, 2)
     # Renumber tree by tree; a stable sort keeps each tree's level order. It
     # runs on the narrowest integer type that holds a tree index: on a key of
     # at most 16 bits numpy sorts by radix.

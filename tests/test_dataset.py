@@ -96,10 +96,10 @@ TRAILING_IGNORED = Schema(columns=SCHEMA.columns + (("difficulty", "ignored"),))
 _HEAD = "duration,proto,label,attack_cat,difficulty"
 
 
-def _outcome(read, path):
+def _outcome(read, path, schema=TRAILING_IGNORED):
     """A table as comparable bytes and texts, or the message it raised."""
     try:
-        table = read(path, TRAILING_IGNORED)
+        table = read(path, schema)
     except ValueError as exc:
         return "error", str(exc)
     return (
@@ -122,7 +122,10 @@ def _outcome(read, path):
         pytest.param(f"{_HEAD}\n1.5,tcp,normal,,3\n2,udp,attack,dos\n", False, id="row-one-short"),
         pytest.param(f"{_HEAD}\n1.5,tcp,normal,,3,4\n2,udp,attack,dos,7\n", False, id="row-one-long"),
         pytest.param(f"{_HEAD}\n", False, id="header-only"),
-        pytest.param(f"{_HEAD}\n,tcp,normal,,3\n2,udp,attack,dos,7\n", False, id="empty-numeric"),
+        pytest.param(f"{_HEAD}\n,tcp,normal,,3\n2,udp,attack,dos,7\n", True, id="empty-numeric"),
+        pytest.param(f"{_HEAD}\r\n1.5,tcp,normal,,3\r\n,udp,attack,dos,7\r\n", True, id="empty-numeric-crlf"),
+        pytest.param(f"{_HEAD}\n,tcp,normal,,3\n2,udp,attack,dos,", True, id="empty-numeric-and-last"),
+        pytest.param(f"{_HEAD}\n,tcp,normal,,3\nnan,udp,attack,dos,7\n", False, id="empty-numeric-and-nan"),
         pytest.param(f"{_HEAD}\n1_0,tcp,normal,,3\n2,udp,attack,dos,7\n", False, id="float-only-syntax"),
         pytest.param(f"{_HEAD}\nnan,tcp,normal,,3\n2,udp,attack,dos,7\n", False, id="non-finite"),
         pytest.param(f"{_HEAD}\n1\x1c,tcp,normal,,3\n2,udp,attack,dos,7\n", False, id="numpy-only-space"),
@@ -134,6 +137,26 @@ def test_load_csv_is_the_same_whichever_reader_runs(tmp_path, body, plain):
     path.write_bytes(body.encode("utf-8"))
     assert _outcome(load_csv, path) == _outcome(dataset._read_with_csv, path)
     assert (dataset._read_plain(path, TRAILING_IGNORED) is not None) == plain
+
+
+_LAST_NUMERIC = Schema(columns=(("label", "binary-label"), ("x", "numeric"), ("z", "numeric")))
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "label,x,z\nnormal,1,\nattack,,2\n",
+        "label,x,z\r\nnormal,1,\r\nattack,,\r\n",
+        "label,x,z\nnormal,,\nattack,3,",
+        "z,x,label\n,,normal\n4,,attack\n",
+    ],
+    ids=["lf", "crlf", "no-final-newline", "leading"],
+)
+def test_read_plain_takes_empty_numeric_cells_anywhere_in_a_line(tmp_path, body):
+    path = tmp_path / "a.csv"
+    path.write_bytes(body.encode("utf-8"))
+    assert dataset._read_plain(path, _LAST_NUMERIC) is not None
+    assert _outcome(dataset._read_plain, path, _LAST_NUMERIC) == _outcome(dataset._read_with_csv, path, _LAST_NUMERIC)
 
 
 def test_schema_validation():

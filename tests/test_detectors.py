@@ -515,14 +515,22 @@ def test_forest_fit_table_does_not_depend_on_chunking(variant, monkeypatch):
     config = DetectorConfig(variant=variant, n_trees=25, subsample=64, seed=2)
     batched = fit(config, X)
     assert batched.roots.size == 25
-    # One tree per chunk, then 4 isolation trees (768 // (64 rows x 3
-    # features)) or 12 stochastic trees (768 // 64 rows) per chunk, each
-    # with a last chunk of one.
-    for chunk_pairs in (1, 768):
+    depths = []
+    level = trees.Level
+    monkeypatch.setattr(trees, "Level", lambda *fields: depths.append(fields[0]) or level(*fields))
+    # One tree at a time; then 4 isolation trees (768 // (64 rows x 3
+    # features)) or 12 stochastic trees (768 // 64 rows) at first; then 2.5
+    # trees' worth of pairs, under which a tree joins while others still grow.
+    per_tree = 64 * (3 if variant == "isolation-forest" else 1)
+    joined_while_growing = {}
+    for chunk_pairs in (1, 768, 5 * per_tree // 2):
         monkeypatch.setattr(trees, "_CHUNK_PAIRS", chunk_pairs)
+        depths.clear()
         chunked = fit(config, X)
         _assert_same_table(chunked, batched)
         assert np.array_equal(score(batched, X), score(chunked, X))
+        joined_while_growing[chunk_pairs] = any(d.min() == 0 < d.max() for d in depths)
+    assert not joined_while_growing[1] and joined_while_growing[5 * per_tree // 2]
 
 
 def test_forest_fit_oracle_rejects_other_variants():

@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from occkit import supervised, trees
+from occkit import forest, supervised, trees
 from occkit.dataset import Dataset, SplitPlan, generate_gaussian_demo, stratified_split
 from occkit.supervised import (
     ForestConfig,
@@ -169,6 +169,14 @@ def _forest_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_forest_cases())
+# At min_leaf 3 a cut inside a one-class run wins here, where both ends of
+# the run are barred: merged bins would miss it.
+@example((
+    np.array([[0.5, 1.0], [0.1, 0.9], [0.3, 0.4], [0.8, 0.4], [0.5, 0.0], [0.8, 0.5]]),
+    np.array([1, 0, 0, 1, 0, 0]),
+    ForestConfig(n_trees=2, min_leaf=3, features_per_split=1),
+    1,
+))
 def test_rf_fit_table_equals_node_by_node_oracle(case):
     X, y, config, seed = case
     _assert_same_table(rf_fit(X, y, config, seed=seed), rf_fit_oracle(X, y, config, seed=seed))
@@ -180,12 +188,73 @@ def test_rf_fit_table_does_not_depend_on_chunking(monkeypatch):
     config = ForestConfig(n_trees=25, min_leaf=2)
     batched = rf_fit(X, y, config, seed=4)
     probes = np.random.default_rng(11).uniform(size=(50, 2))
-    # 240 rows: one tree per chunk, then 3 trees per chunk with a last chunk of one.
-    for chunk_pairs in (1, 720):
+    depths = []
+    level = trees.Level
+    monkeypatch.setattr(trees, "Level", lambda *fields: depths.append(fields[0]) or level(*fields))
+    # 240 rows, of which each bag holds ~150: one tree at a time, then 720
+    # pairs (3 trees' worth), then 2.5 trees' worth, under which a tree
+    # joins while others still grow.
+    joined_while_growing = {}
+    for chunk_pairs in (1, 720, 600):
         monkeypatch.setattr(trees, "_CHUNK_PAIRS", chunk_pairs)
+        depths.clear()
         chunked = rf_fit(X, y, config, seed=4)
         _assert_same_table(chunked, batched)
         assert np.array_equal(rf_predict(batched, probes), rf_predict(chunked, probes))
+        joined_while_growing[chunk_pairs] = any(d.min() == 0 < d.max() for d in depths)
+    assert not joined_while_growing[1] and joined_while_growing[600]
+
+
+def _value_and_merged_cuts(X, y, weight, seg, coding):
+    """_best_cuts of one tree's nodes on value codes, then on merged bins (min_leaf 1)."""
+    rows = np.flatnonzero(weight)
+    seg, weight = seg[rows], weight[rows].astype(np.float64)
+    k = seg.max() + 1
+    total = np.bincount(seg, weights=weight, minlength=k)
+    ones = np.bincount(seg, weights=weight * y[rows], minlength=k)
+    tree = np.zeros(k, dtype=np.int64)
+    return [
+        forest._best_cuts(X, *forest._codings(X, y, merge)[:2], rows, weight, seg, tree, coding, total, ones, 1)
+        for merge in (False, True)
+    ]
+
+
+@pytest.mark.parametrize("n", [6, 1000, forest._MERGE_CAP - 1, forest._MERGE_CAP])
+@pytest.mark.parametrize("case", ["normal-below-run", "normal-above-run", "both", "bagged", "bagged-nodes"])
+def test_merged_bins_cut_as_value_codes_up_to_the_cap(n, case):
+    rng = np.random.default_rng(n)
+    # Column 0 holds n distinct sorted values, column 1 a shuffle of few values.
+    X = np.column_stack([np.arange(n) / n, rng.integers(0, 7, size=n) / 7])
+    y = np.ones(n, dtype=np.int64)
+    weight = np.ones(n, dtype=np.int64)
+    seg = np.zeros(n, dtype=np.int64)
+    if case == "normal-below-run":  # one normal row at the low edge of a run of attack rows
+        y[0] = 0
+    elif case == "normal-above-run":  # the mirror case
+        y[-1] = 0
+    elif case == "both":
+        y[[0, -1]] = 0
+    else:  # a bootstrap bag of mixed classes: N = n in one node, about n / 3 in three
+        y = rng.integers(0, 2, size=n)
+        y[:6] = (0, 1, 0, 1, 0, 1)
+        drawn = rng.integers(0, n, size=n)
+        drawn[:6] = np.arange(6)
+        weight = np.bincount(drawn, minlength=n)
+        if case == "bagged-nodes":
+            seg = rng.integers(0, 3, size=n)
+            seg[:6] = (0, 0, 1, 1, 2, 2)
+    k = seg.max() + 1
+    for coding in ([[0, 1]] * k, [[1, 0]] * k):
+        value, merged = _value_and_merged_cuts(X, y, weight, seg, np.array(coding))
+        for got, want in zip(merged, value):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_rf_fit_rejects_nan_in_training():
+    X, y = _blobs()
+    X[3, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        rf_fit(X, y, ForestConfig(n_trees=2))
 
 
 def test_rf_fit_and_predict_hold_little_memory():
