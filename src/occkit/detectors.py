@@ -201,9 +201,13 @@ class _ForestDetector(FittedDetector):
     while it holds two rows or more and lies above depth
     ceil(log2(subsample)). A subclass supplies `_cuts`, the cut of every open
     node of a depth from its doubles at once; the tests hold it to a per-node
-    cut and `forest_fit_oracle` (`tests/oracles.py`). The forest is one node
-    table (`occkit.trees`) whose payload is each leaf's path length,
-    depth + c(mass), and `score` is one `trees.leaf_sums` walk over it.
+    cut and `forest_fit_oracle` (`tests/oracles.py`). The shared rule sends
+    a cut node's rows right where not x < value and counts each child's rows
+    in one bincount; a child is open while it holds two rows or more and
+    lies above the depth limit, and a node's state is its row count. The
+    forest is one node table (`occkit.trees`) whose payload is each leaf's
+    path length, depth + c(mass), and `score` is one `trees.leaf_sums` walk
+    over it.
     """
 
     # The node table, in the order `trees.grow` returns it.
@@ -219,37 +223,36 @@ class _ForestDetector(FittedDetector):
         X = np.ascontiguousarray(X)
         n, d = X.shape
         effective, limit, rngs = _growth(config, n)
+        flat_X = X.ravel()
         unit = np.ones(effective)
         adjustment = _path_adjustments(np.arange(effective + 1))  # c(mass) by mass
 
-        def rule(level: trees.Level) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            k = level.tree.size
-            mass = np.bincount(level.node, minlength=k)
-            feature = np.full(k, -1)
-            value = np.zeros(k)
-            nodes, elements, seg = level.open((mass > 1) & (level.depth < limit))
-            if nodes.size:
-                # A stable sort groups the rows by node, each node's in its
-                # subsample's order. It runs on the narrowest integer type
-                # that holds seg: on a key of at most 16 bits numpy sorts by
-                # radix, on a wider one by timsort.
-                order = np.argsort(seg.astype(np.min_scalar_type(nodes.size - 1)), kind="stable")
-                rows = level.rows[elements[order]]
-                sizes = mass[nodes]
-                cut_feature, cut_value, ok = cls._cuts(
-                    X, rows, np.cumsum(sizes) - sizes, sizes, level.draw(nodes, cls._DRAWS)
-                )
-                feature[nodes[ok]] = cut_feature[ok]
-                value[nodes[ok]] = cut_value[ok]
-            leaf = feature < 0
-            path_length = np.zeros(k)
-            path_length[leaf] = level.depth[leaf] + adjustment[mass[leaf]]
-            return feature, value, path_length
+        def rule(level: trees.Level) -> trees.Cuts:
+            mass = level.state  # each node's rows
+            # A stable sort groups the rows by node, each node's in its
+            # subsample's order. It runs on the narrowest integer type that
+            # holds a node index: on a key of at most 16 bits numpy sorts by
+            # radix, on a wider one by timsort.
+            order = np.argsort(level.node.astype(np.min_scalar_type(mass.size - 1)), kind="stable")
+            sizes = mass.astype(np.intp)
+            cut_feature, value, ok = cls._cuts(
+                X, level.rows[order], np.cumsum(sizes) - sizes, sizes, level.draw(cls._DRAWS)
+            )
+            # Not `>=`: a NaN goes right, as in the walker.
+            right = ~(flat_X[level.rows * d + cut_feature[level.node]] < value[level.node])
+            children = np.bincount(2 * level.node + right, minlength=2 * mass.size).reshape(-1, 2)[ok].ravel()
+            depth = np.repeat(level.depth[ok] + 1, 2)
+            opened = (children > 1) & (depth < limit)
+            path_length = np.where(ok, 0.0, level.depth + adjustment[sizes])
+            child = np.where(opened, children, depth + adjustment[children])
+            return trees.Cuts(np.where(ok, cut_feature, -1), np.where(ok, value, 0.0), path_length, right, opened, child)
 
-        def sample(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-            return rng.permutation(n)[:effective], unit
+        def sample(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, bool, float]:
+            # A root is open iff it holds two rows or more; then limit > 0 too.
+            is_open = effective > 1
+            return rng.permutation(n)[:effective], unit, is_open, float(effective) if is_open else adjustment[effective]
 
-        table = trees.grow(X, rngs, sample, rule, d if cls._READS_EVERY_COLUMN else 1)
+        table = trees.grow(rngs, sample, rule, d if cls._READS_EVERY_COLUMN else 1)
         return cls(config, d, **{name: array for (name, _), array in zip(cls._STATE, table)})
 
     def score(self, X: np.ndarray) -> np.ndarray:
@@ -433,7 +436,7 @@ def _row_means(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """
     starts = np.cumsum(counts) - counts
     out = np.empty(counts.size)
-    for c in np.unique(counts):
+    for c in np.flatnonzero(np.bincount(counts)):
         rows = np.flatnonzero(counts == c)
         out[rows] = values[starts[rows, None] + np.arange(c)].mean(axis=1)
     return out

@@ -4,7 +4,8 @@ A plain CART ensemble (gini splits, bootstrap resampling, random feature
 subsets per node) built here so tree internals stay inspectable and
 deterministic. The forest is one flat node table (`occkit.trees`). `rf_fit`
 codes each column once (`_codings`) and hands `trees.grow` the batched gini
-rule `_best_cuts`, a histogram over those codes, and `rf_predict`
+rule `_best_cuts`, a histogram over those codes that also routes each row by
+its code and gives each child its class counts, and `rf_predict`
 counts the trees' votes with `trees.leaf_sums`. The tests hold `rf_fit` to a
 node-by-node reference, `rf_fit_oracle` with the per-node rule `_best_split`
 (`tests/oracles.py`).
@@ -79,7 +80,7 @@ def _training_inputs(
     n, d = X.shape
     if n < 2:
         raise ValueError(f"need at least 2 training rows, got {n}")
-    if len(np.unique(y)) < 2:
+    if y.min() == y.max():
         raise ValueError("training data must contain both classes")
     if np.isnan(X).any():
         raise ValueError("training matrix holds NaN")
@@ -124,35 +125,33 @@ def rf_fit(X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), 
     n, d = X.shape
     codes, bins, merged = _codings(X, y, config.min_leaf == 1)
 
-    def bag(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    def bag(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
         drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
         rows = np.flatnonzero(drawn)
-        return rows, drawn[rows]
+        ones = int(np.dot(drawn, y))
+        return rows, drawn[rows], _splittable(n, ones, 0, config), np.array([n - ones, ones], dtype=np.int32)
 
-    def rule(level: trees.Level) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Counts are held as float64, exact for whole numbers, so gini needs no casts.
-        attack = level.weight * y[level.rows]
-        k = level.tree.size
-        total = np.bincount(level.node, weights=level.weight, minlength=k)
-        ones = np.bincount(level.node, weights=attack, minlength=k)
-        feature = np.full(k, -1)
-        value = np.zeros(k)
-        nodes, elements, seg = level.open(_splittable(total, ones, level.depth, config))
-        if nodes.size:
-            coding = _features(level.draw(nodes, d), n_split)
-            if merged:
-                coding += np.where(total[nodes] <= _MERGE_CAP, merged, 0)[:, None]
-            best, cut_feature, cut_value = _best_cuts(
-                X, codes, bins, level.rows[elements], level.weight[elements], seg,
-                level.tree[nodes], coding, total[nodes], ones[nodes], config.min_leaf,
-            )
-            split = best < np.inf
-            feature[nodes[split]] = cut_feature[split]
-            value[nodes[split]] = cut_value[split]
-        return feature, value, np.column_stack([total - ones, ones]).astype(np.int32)
+    def rule(level: trees.Level) -> trees.Cuts:
+        # A node's state and payload are its (normal, attack) bagged counts.
+        # Float64 holds them exactly, so gini needs no casts.
+        counts = level.state
+        ones = counts[:, 1].astype(np.float64)
+        total = counts.sum(axis=1, dtype=np.float64)
+        coding = _features(level.draw(d), n_split)
+        if merged:
+            coding += np.where(total <= _MERGE_CAP, merged, 0)[:, None]
+        best, feature, value, n_left, ones_left, right = _best_cuts(
+            X, codes, bins, level.rows, level.weight, level.node, level.tree, coding, total, ones, config.min_leaf
+        )
+        split = best < np.inf
+        feature[~split] = -1
+        left = np.column_stack([n_left - ones_left, ones_left])[split].astype(np.int32)
+        child = np.stack([left, counts[split] - left], axis=1).reshape(-1, 2)
+        depth = np.repeat(level.depth[split] + 1, 2)
+        return trees.Cuts(feature, value, counts, right, _splittable(child.sum(axis=1), child[:, 1], depth, config), child)
 
     rngs = [rng_for(seed, "tree", t) for t in range(config.n_trees)]
-    return _model(trees.grow(X, rngs, bag, rule, 1), config, d)
+    return _model(trees.grow(rngs, bag, rule, 1), config, d)
 
 
 def _model(table: tuple[np.ndarray, ...], config: ForestConfig, d: int) -> ForestModel:
@@ -205,8 +204,14 @@ def _best_cuts(
     total: np.ndarray,
     ones: np.ndarray,
     min_leaf: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(score, feature, threshold) of the best cut of every open node, score inf if none.
+) -> tuple[np.ndarray, ...]:
+    """(score, feature, threshold, n_left, ones_left, right) of the best cut of every open node.
+
+    Per node: the cut's score (inf if the node has none), feature and
+    threshold, and the bagged rows and attack rows left of it (0 without a
+    cut); per element: whether it goes right. An element goes left iff its
+    bin under the winning coding is at most the bin left of the cut, which
+    is the same as X < threshold, as the threshold lies in (a, b] below.
 
     Element i belongs to open node seg[i], of tree tree[seg[i]], which tries
     the codings coding[seg[i]] of `_codings` in order; coding c reads column
@@ -221,9 +226,9 @@ def _best_cuts(
     earliest slot, then the lowest bin. Cells go in blocks of whole trees
     (a tree's nodes and elements are contiguous), each of at most
     trees._CHUNK_PAIRS bins unless one tree holds more. A winning cut's
-    threshold is the midpoint of the node's largest value in the bin left of
-    it and its smallest in the next occupied bin, both taken in one pass
-    over the elements.
+    threshold is the midpoint of the node's largest value a in the bin left
+    of it and its smallest b in the next occupied bin, both taken in one
+    pass over the elements, or b where the rounded midpoint is not in (a, b].
 
     Value codes give exactly _best_split's cuts, so its scores, bit for bit.
     Merged bins drop the cuts inside a run of one class; they are used only
@@ -253,15 +258,23 @@ def _best_cuts(
     """
     n, d = X.shape
     k = total.size
-    element_bounds = np.concatenate([[0], np.cumsum(np.bincount(seg, minlength=k))])
-    tree_ends = np.flatnonzero(np.append(tree[1:] != tree[:-1], True)) + 1
+    # Per-element temporaries are dropped as soon as they are used: what a
+    # step holds at its peak is freed at its end, handed back to the system
+    # and faulted in again by the next step.
+    element_bounds = tree_ends = None  # once a slot needs more than one block
     best = np.full(k, np.inf)
     won = np.zeros(k, dtype=np.int64)  # winning coding
     # bins either side of the winning cut; -1 is no bin
     below = np.full(k, -1)
     above = np.full(k, -1)
+    # bagged rows, and attack rows among them, left of the winning cut
+    n_left_won = np.zeros(k)
+    ones_left_won = np.zeros(k)
     for slot in coding.T:
-        code = codes[(slot * n)[seg] + rows]
+        at_code = (slot * n)[seg]
+        at_code += rows
+        code = codes[at_code]
+        del at_code
         # A node's bins run from first[node]: 0, or, where the full bins would
         # not fit one block, the lowest bin its elements hold, up to the
         # highest; deep nodes of a many-bin column would fill blocks with
@@ -278,61 +291,106 @@ def _best_cuts(
         cell_bounds = np.concatenate([[0], np.cumsum(span)])
         # Two cells per (node, bin), its normal rows then its attack rows, as
         # a code is twice the bin plus the row's class.
-        cell = (2 * (cell_bounds[:-1] - first))[seg] + code
-        for a, b in _tree_blocks(cell_bounds[tree_ends], tree_ends):
-            e0, e1 = element_bounds[a], element_bounds[b]
+        cell = (2 * (cell_bounds[:-1] - first))[seg]
+        cell += code
+        del code
+        if cell_bounds[-1] <= trees._CHUNK_PAIRS:
+            blocks = [(0, k)]
+        else:
+            if element_bounds is None:
+                element_bounds = np.concatenate([[0], np.cumsum(np.bincount(seg, minlength=k))])
+                tree_ends = np.flatnonzero(np.append(tree[1:] != tree[:-1], True)) + 1
+            blocks = _tree_blocks(cell_bounds[tree_ends], tree_ends)
+        for a, b in blocks:
+            e0, e1 = (0, seg.size) if element_bounds is None else (element_bounds[a], element_bounds[b])
             bounds = cell_bounds[a : b + 1] - cell_bounds[a]  # of the block's nodes' cells
             local = cell[e0:e1] - 2 * cell_bounds[a] if a else cell[e0:e1]
-            counts = np.bincount(local, weights=weight[e0:e1], minlength=2 * bounds[-1])
-            ones_at = counts[1::2]
-            w = counts[::2] + ones_at
-            occupied = np.flatnonzero(w > 0)
-            w = w[occupied]
-            ones_at = ones_at[occupied]
-            starts = np.searchsorted(occupied, bounds[:-1])  # each node's first occupied cell
-            node = np.searchsorted(bounds[1:], occupied, side="right")  # in the block
-            n_block, ones_block = total[a:b], ones[a:b]
-            # Taking the previous node's totals off each node's first cell
-            # makes the running sums restart at every node.
-            w[starts[1:]] -= n_block[:-1]
-            ones_at[starts[1:]] -= ones_block[:-1]
-            n_left, ones_left = np.cumsum(w), np.cumsum(ones_at)
-            n_node = n_block[node]
-            n_right = n_node - n_left
-            ones_right = ones_block[node] - ones_left
-            # The cut after a node's last cell has nothing on its right; it is masked below.
-            with np.errstate(invalid="ignore"):
-                score = _gini(n_left - ones_left, ones_left, n_left)
-                score *= n_left
-                right = _gini(n_right - ones_right, ones_right, n_right)
-                right *= n_right
-            score += right
-            score /= n_node
-            score[(n_left < min_leaf) | (n_right < min_leaf)] = np.inf
-            low = np.minimum.reduceat(score, starts)
-            # Every node holds its minimum, so the first hit at or after its start is its own.
-            hits = np.flatnonzero(score == low[node])
-            j = hits[np.searchsorted(hits, starts)]
+            low, cut_cell, next_cell, n_left, ones_left = _lowest_cuts(
+                np.bincount(local, weights=weight[e0:e1], minlength=2 * bounds[-1]),
+                bounds, total[a:b], ones[a:b], min_leaf,
+            )
             better = low < best[a:b]
-            at = np.flatnonzero(better) + a
-            j = j[better]
-            best[at] = low[better]
-            won[at] = slot[at]
-            below[at] = occupied[j] - bounds[at - a] + first[at]
-            above[at] = occupied[j + 1] - bounds[at - a] + first[at]
+            base = first[a:b] - bounds[:-1]  # a block cell's bin is cell + base[node]
+            for into, value in (
+                (best, low), (won, slot[a:b]), (below, cut_cell + base), (above, next_cell + base),
+                (n_left_won, n_left), (ones_left_won, ones_left),
+            ):
+                np.copyto(into[a:b], value, where=better)
+    del cell, local
     feature = won % d
-    bin_of = codes[(won * n)[seg] + rows] >> 1
+    at_code = (won * n)[seg]
+    at_code += rows
+    bin_of = codes[at_code]
+    del at_code
+    bin_of >>= 1
+    below_of = below[seg]
+    right = bin_of > below_of
     flat_X = X.ravel()
     edges = []
-    for side, fill, pick in ((below, -np.inf, np.maximum), (above, np.inf, np.minimum)):
-        on = np.flatnonzero(bin_of == side[seg])
+    for side, fill, pick in ((below_of, -np.inf, np.maximum), (above[seg], np.inf, np.minimum)):
+        on = np.flatnonzero(bin_of == side)
+        node = seg[on]
+        at_x = rows[on]
+        at_x *= d
+        at_x += feature[node]
         edge = np.full(k, fill)
-        pick.at(edge, seg[on], flat_X[rows[on] * d + feature[seg[on]]])
+        pick.at(edge, node, flat_X[at_x])
         edges.append(edge)
     threshold = np.zeros(k)
     cut = best < np.inf
-    threshold[cut] = (edges[0][cut] + edges[1][cut]) / 2.0
-    return best, feature, threshold
+    a, b = edges[0][cut], edges[1][cut]
+    # Between two adjacent doubles the midpoint can round onto a, and a + b
+    # can overflow; the cut then sits at b.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = (a + b) / 2.0
+        threshold[cut] = np.where((a < mid) & (mid <= b), mid, b)
+    return best, feature, threshold, n_left_won, ones_left_won, right
+
+
+def _lowest_cuts(
+    counts: np.ndarray, bounds: np.ndarray, total: np.ndarray, ones: np.ndarray, min_leaf: int
+) -> tuple[np.ndarray, ...]:
+    """Per node of a block: (score, cell, next cell, n_left, ones_left) of its lowest cut, score inf if none.
+
+    counts holds the block's (normal, attack) cells, node after node, node i
+    owning cells bounds[i] to bounds[i + 1]; a cut lies after one occupied
+    cell, `cell`, and before the node's next, `next cell`. Ties keep the
+    lowest cell.
+    """
+    occupied = np.flatnonzero(np.logical_or(counts[::2], counts[1::2]))
+    ones_left = counts[1::2][occupied]
+    n_left = counts[::2][occupied]
+    n_left += ones_left
+    del counts
+    starts = np.searchsorted(occupied, bounds[:-1])  # each node's first occupied cell
+    node = np.repeat(np.arange(total.size), np.diff(starts, append=occupied.size))
+    # Taking the previous node's totals off each node's first cell makes the
+    # running sums restart at every node.
+    n_left[starts[1:]] -= total[:-1]
+    ones_left[starts[1:]] -= ones[:-1]
+    np.cumsum(n_left, out=n_left)
+    np.cumsum(ones_left, out=ones_left)
+    n_right = total[node]
+    n_right -= n_left
+    ones_right = ones[node]
+    ones_right -= ones_left
+    # The cut after a node's last cell has nothing on its right; it is masked below.
+    with np.errstate(invalid="ignore"):
+        score = _gini(n_left - ones_left, ones_left, n_left)
+        score *= n_left
+        right = _gini(n_right - ones_right, ones_right, n_right)
+        right *= n_right
+    score += right
+    del right, ones_right
+    score /= total[node]
+    score[(n_left < min_leaf) | (n_right < min_leaf)] = np.inf
+    del n_right
+    low = np.minimum.reduceat(score, starts)
+    # Every node holds its minimum, so the first hit at or after its start is its own.
+    hits = np.flatnonzero(score == low[node])
+    j = hits[np.searchsorted(hits, starts)]
+    # A node without a cut may end the block: its j + 1 is clipped, and unread.
+    return low, occupied[j], occupied[np.minimum(j + 1, occupied.size - 1)], n_left[j], ones_left[j]
 
 
 def _tree_blocks(cells: np.ndarray, tree_ends: np.ndarray):

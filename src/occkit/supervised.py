@@ -199,7 +199,7 @@ def run_omission_experiment(
         out = []
         for arm in forest_arms:
             fit_data = omitted if arm == "plain" else augment_with_noise(omitted, noise_seed)
-            if len(np.unique(fit_data.y)) < 2:
+            if np.count_nonzero(np.bincount(fit_data.y)) < 2:
                 preds = np.zeros(test.n_rows, dtype=np.int64)
             else:
                 seed = derive_seed(plan.split.base_seed, "rf", k, combo_id, run, arm)

@@ -78,7 +78,11 @@ def _best_split(
         j = int(np.argmin(weighted))
         if weighted[j] < best_score:
             best_score = float(weighted[j])
-            best = (int(f), float((vs[j] + vs[j + 1]) / 2.0))
+            # Between adjacent doubles the midpoint can round onto vs[j], and
+            # the sum can overflow: the cut then sits at vs[j + 1].
+            with np.errstate(over="ignore", invalid="ignore"):
+                mid = (vs[j] + vs[j + 1]) / 2.0
+            best = (int(f), float(mid if vs[j] < mid <= vs[j + 1] else vs[j + 1]))
     return best
 
 

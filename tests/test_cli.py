@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -794,3 +796,22 @@ def test_main_demo_runs(tmp_path):
 def test_main_occ_eval_runs(tmp_path):
     cfg = _occ_config(tmp_path, split={"ratio": 0.8, "n_runs": 2})
     assert main(["occ-eval", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+_DEMO_RUNS = """
+import sys
+from occkit.cli import main
+for command in ("occ-eval", "omission"):
+    assert main([command, "--config", f"configs/demo-{command}.json", "--out", sys.argv[1]]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_demo_runs_do_not_import_numpy_ma(tmp_path):
+    # np.unique without return_* imports numpy.ma, ~12 ms of each run.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", _DEMO_RUNS, str(tmp_path)], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

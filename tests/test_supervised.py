@@ -1,6 +1,10 @@
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +181,13 @@ def _forest_cases(draw):
     ForestConfig(n_trees=2, min_leaf=3, features_per_split=1),
     1,
 ))
+# Two adjacent doubles: their midpoint rounds onto the lower one.
+@example((
+    np.array([[1.0], [np.nextafter(1.0, 2.0)]] * 5),
+    np.array([0, 1] * 5),
+    ForestConfig(n_trees=3),
+    0,
+))
 def test_rf_fit_table_equals_node_by_node_oracle(case):
     X, y, config, seed = case
     _assert_same_table(rf_fit(X, y, config, seed=seed), rf_fit_oracle(X, y, config, seed=seed))
@@ -203,6 +214,83 @@ def test_rf_fit_table_does_not_depend_on_chunking(monkeypatch):
         assert np.array_equal(rf_predict(batched, probes), rf_predict(chunked, probes))
         joined_while_growing[chunk_pairs] = any(d.min() == 0 < d.max() for d in depths)
     assert not joined_while_growing[1] and joined_while_growing[600]
+
+
+_ADJACENT_DOUBLES = """
+import numpy as np
+from occkit.forest import ForestConfig, rf_fit, rf_predict
+X = np.array([[1.0], [np.nextafter(1.0, 2.0)]] * 5)
+y = np.array([0, 1] * 5)
+model = rf_fit(X, y, ForestConfig(n_trees=3))
+assert rf_predict(model, X).tolist() == y.tolist()
+"""
+
+
+def test_rf_fit_returns_when_the_best_cut_lies_between_adjacent_doubles():
+    # (a + b) / 2 rounds onto a here: a cut there sends every row right, and
+    # a grower that keeps cutting the same node never returns, so the fit
+    # runs in a child process that the timeout kills.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", _ADJACENT_DOUBLES], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_rf_fit_cuts_adjacent_doubles_at_the_upper_one_under_a_depth_limit():
+    X = np.array([[1.0], [np.nextafter(1.0, 2.0)]] * 5)
+    y = np.array([0, 1] * 5)
+    model = rf_fit(X, y, ForestConfig(n_trees=3, max_depth=2))
+    # A cut at the lower double left an empty leaf whose (0, 0) counts voted attack.
+    assert (model.counts.sum(axis=1) > 0).all()
+    assert set(model.value[model.left >= 0].tolist()) == {X[1, 0]}
+    assert rf_predict(model, X).tolist() == y.tolist()
+
+
+@st.composite
+def _routed_nodes(draw):
+    """One tree's open nodes for _best_cuts: tied values, adjacent doubles and huge ones."""
+    n = draw(st.integers(2, 120))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ties", "adjacent", "huge"]))
+    if kind == "ties":
+        X = np.round(rng.uniform(0, 1, size=(n, d)), 1)
+    else:
+        # A few consecutive doubles above 1.0, or near the largest double,
+        # where a + b overflows.
+        base = 1.0 if kind == "adjacent" else np.finfo(np.float64).max * 0.75
+        X = base + rng.integers(0, 4, size=(n, d)) * np.spacing(base)
+    y = rng.integers(0, 2, size=n)
+    drawn = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    rows = np.flatnonzero(drawn)
+    k = draw(st.integers(1, 4))
+    seg = np.sort(rng.integers(0, k, size=rows.size))
+    seg = np.unique(seg, return_inverse=True)[1]  # no empty node
+    k = seg.max() + 1
+    weight = drawn[rows].astype(np.float64)
+    coding = np.argsort(rng.uniform(size=(k, d)), axis=1)[:, : draw(st.integers(1, d))]
+    merge = draw(st.booleans())
+    min_leaf = draw(st.integers(1, 3))
+    return X, y, rows, weight, seg, coding, merge, min_leaf
+
+
+@settings(max_examples=150, deadline=None)
+@given(_routed_nodes())
+def test_bin_code_routing_equals_the_float_threshold(case):
+    X, y, rows, weight, seg, coding, merge, min_leaf = case
+    k = seg.max() + 1
+    total = np.bincount(seg, weights=weight, minlength=k)
+    ones = np.bincount(seg, weights=weight * y[rows], minlength=k)
+    codes, bins, _ = forest._codings(X, y, merge)
+    best, feature, threshold, n_left, ones_left, right = forest._best_cuts(
+        X, codes, bins, rows, weight, seg, np.zeros(k, dtype=np.int64), coding, total, ones, min_leaf
+    )
+    cut = best < np.inf
+    routed = cut[seg]
+    assert np.array_equal(right[routed], ~(X[rows, feature[seg]] < threshold[seg])[routed])
+    left = ~right & routed
+    assert np.array_equal(n_left, np.bincount(seg[left], weights=weight[left], minlength=k))
+    assert np.array_equal(ones_left, np.bincount(seg[left], weights=(weight * y[rows])[left], minlength=k))
+    assert (n_left[cut] >= min_leaf).all() and (total - n_left)[cut].min(initial=min_leaf) >= min_leaf
 
 
 def _value_and_merged_cuts(X, y, weight, seg, coding):
