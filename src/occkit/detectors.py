@@ -105,12 +105,6 @@ def isolation_path_adjustment(n: int) -> float:
     return 2.0 * harmonic - 2.0 * (n - 1) / n
 
 
-def _path_adjustments(mass: np.ndarray) -> np.ndarray:
-    """isolation_path_adjustment of each mass, bit for bit, called once per distinct mass."""
-    distinct, at = np.unique(mass, return_inverse=True)
-    return np.array([isolation_path_adjustment(int(m)) for m in distinct], dtype=np.float64)[at]
-
-
 class FittedDetector:
     """Immutable trained model exposing a normality-score function.
 
@@ -225,7 +219,7 @@ class _ForestDetector(FittedDetector):
         effective, limit, rngs = _growth(config, n)
         flat_X = X.ravel()
         unit = np.ones(effective)
-        adjustment = _path_adjustments(np.arange(effective + 1))  # c(mass) by mass
+        adjustment = np.array([isolation_path_adjustment(mass) for mass in range(effective + 1)])
 
         def rule(level: trees.Level) -> trees.Cuts:
             mass = level.state  # each node's rows
@@ -235,9 +229,7 @@ class _ForestDetector(FittedDetector):
             # radix, on a wider one by timsort.
             order = np.argsort(level.node.astype(np.min_scalar_type(mass.size - 1)), kind="stable")
             sizes = mass.astype(np.intp)
-            cut_feature, value, ok = cls._cuts(
-                X, level.rows[order], np.cumsum(sizes) - sizes, sizes, level.draw(cls._DRAWS)
-            )
+            cut_feature, value, ok = cls._cuts(X, level.rows[order], np.cumsum(sizes) - sizes, sizes, level.u)
             # Not `>=`: a NaN goes right, as in the walker.
             right = ~(flat_X[level.rows * d + cut_feature[level.node]] < value[level.node])
             children = np.bincount(2 * level.node + right, minlength=2 * mass.size).reshape(-1, 2)[ok].ravel()
@@ -252,7 +244,7 @@ class _ForestDetector(FittedDetector):
             is_open = effective > 1
             return rng.permutation(n)[:effective], unit, is_open, float(effective) if is_open else adjustment[effective]
 
-        table = trees.grow(rngs, sample, rule, d if cls._READS_EVERY_COLUMN else 1)
+        table = trees.grow(rngs, sample, rule, d if cls._READS_EVERY_COLUMN else 1, cls._DRAWS)
         return cls(config, d, **{name: array for (name, _), array in zip(cls._STATE, table)})
 
     def score(self, X: np.ndarray) -> np.ndarray:

@@ -137,7 +137,7 @@ def rf_fit(X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), 
         counts = level.state
         ones = counts[:, 1].astype(np.float64)
         total = counts.sum(axis=1, dtype=np.float64)
-        coding = _features(level.draw(d), n_split)
+        coding = _features(level.u, n_split)
         if merged:
             coding += np.where(total <= _MERGE_CAP, merged, 0)[:, None]
         best, feature, value, n_left, ones_left, right = _best_cuts(
@@ -151,7 +151,7 @@ def rf_fit(X: np.ndarray, y: np.ndarray, config: ForestConfig = ForestConfig(), 
         return trees.Cuts(feature, value, counts, right, _splittable(child.sum(axis=1), child[:, 1], depth, config), child)
 
     rngs = [rng_for(seed, "tree", t) for t in range(config.n_trees)]
-    return _model(trees.grow(rngs, bag, rule, 1), config, d)
+    return _model(trees.grow(rngs, bag, rule, 1, d), config, d)
 
 
 def _model(table: tuple[np.ndarray, ...], config: ForestConfig, d: int) -> ForestModel:

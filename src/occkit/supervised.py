@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -126,12 +127,27 @@ class OmissionResult:
 
 
 def _capped_combinations(plan: OmissionPlan, k: int) -> list[tuple[str, ...]]:
-    combos = enumerate_combinations(plan.attack_types, k)
-    if len(combos) <= plan.combination_cap:
-        return combos
+    """All size-k combinations, or combination_cap of them picked by rank; only those are built."""
+    count = math.comb(len(plan.attack_types), k)
+    if count <= plan.combination_cap:
+        return enumerate_combinations(plan.attack_types, k)
     rng = rng_for(plan.split.base_seed, "combination-cap", k)
-    picked = np.sort(rng.choice(len(combos), size=plan.combination_cap, replace=False))
-    return [combos[i] for i in picked]
+    picked = np.sort(rng.choice(count, size=plan.combination_cap, replace=False))
+    return [_combination_at(plan.attack_types, k, int(rank)) for rank in picked]
+
+
+def _combination_at(items: Sequence[str], k: int, rank: int) -> tuple[str, ...]:
+    """Combination number `rank` of itertools.combinations(items, k)."""
+    chosen = []
+    for i, item in enumerate(items):
+        if len(chosen) == k:
+            break
+        taking_it = math.comb(len(items) - i - 1, k - len(chosen) - 1)  # those that take item next
+        if rank < taking_it:
+            chosen.append(item)
+        else:
+            rank -= taking_it
+    return tuple(chosen)
 
 
 def _omission_cell(

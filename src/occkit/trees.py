@@ -7,13 +7,14 @@ forest attaches a per-node payload that only its leaves use (a CART tree's
 class counts, a detector tree's path length).
 
 `grow` builds the table of every forest: each growing tree advances one
-depth per step, trees join as earlier ones drain, and a forest supplies only
-its sample and its batched split rule, which cuts the open nodes of a step,
-routes their rows and says which children stay open. `leaf_sums` adds up the payload of
-the leaf each row reaches in every tree, in one tiled walk: a block of rows
-against a chunk of trees, one level per step. The tests hold `grow` to
-`grow_oracle` (`tests/oracles.py`), which builds the same table one tree and
-one node at a time.
+depth per step, trees join as earlier ones drain, and grow draws each open
+node's uniform doubles. A forest supplies only its sample and its batched
+split rule, a function of the step's `Level` alone, which cuts the open
+nodes of a step, routes their rows and says which children stay open.
+`leaf_sums` adds up the payload of the leaf each row reaches in every tree,
+in one tiled walk: a block of rows against a chunk of trees, one level per
+step. The tests hold `grow` to `grow_oracle` (`tests/oracles.py`), which
+builds the same table one tree and one node at a time.
 """
 
 from __future__ import annotations
@@ -48,21 +49,12 @@ class Level(NamedTuple):
     """
 
     depth: np.ndarray  # depth of each node
-    tree: np.ndarray  # tree of each node, as its index in rngs
+    tree: np.ndarray  # tree of each node, as its index in grow's rngs
     rows: np.ndarray  # row of X of each element
     weight: np.ndarray  # how often its tree's sample drew each element
     node: np.ndarray  # node of each element
     state: np.ndarray  # each node's state, as the rule (or sample, for a root) gave it
-    rngs: Sequence[np.random.Generator]  # streams of consecutive trees, the growing ones among them
-
-    def draw(self, width: int) -> np.ndarray:
-        """One row of `width` uniform doubles per node, in level order.
-
-        A tree's rows are one `random` call on its stream, which gives the
-        same doubles as one call per node in order.
-        """
-        per_tree = np.bincount(self.tree, minlength=len(self.rngs))
-        return np.concatenate([rng.random((m, width)) for rng, m in zip(self.rngs, per_tree.tolist()) if m])
+    u: np.ndarray  # each node's row of uniform doubles, drawn by grow
 
 
 class Cuts(NamedTuple):
@@ -88,12 +80,13 @@ Sample = Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray, bool, obj
 
 
 def grow(
-    rngs: Sequence[np.random.Generator], sample: Sample, rule: SplitRule, pairs_per_row: int
+    rngs: Sequence[np.random.Generator], sample: Sample, rule: SplitRule, pairs_per_row: int, draws: int
 ) -> tuple[np.ndarray, ...]:
     """(feature, value, left, roots, payload) of one tree per stream in rngs.
 
-    Tree t draws from rngs[t] only: first sample(rng), then whatever the
-    rule draws per depth through Level.draw. Each growing tree advances one
+    Tree t draws from rngs[t] only: first sample(rng), then at each depth
+    one rng.random((m, draws)) call for its m open nodes, in level order,
+    which the rule reads as Level.u. Each growing tree advances one
     depth per step, and trees join in order, at depth 0, while the step's
     elements times pairs_per_row stay within _CHUNK_PAIRS (a tree alone
     always may): a tree joins as soon as the earlier ones have drained
@@ -140,10 +133,9 @@ def grow(
         k = tree.size
         if k == 0:
             break
-        # The rule sees the streams from the first growing tree to the last
-        # joined one, so tree - first indexes them.
-        first = tree[0]
-        cuts = rule(Level(depth, tree - first, rows, weight, node, state, rngs[first:joined]))
+        growing, per_tree = np.unique(tree, return_counts=True)
+        u = np.concatenate([rngs[t].random((m, draws)) for t, m in zip(growing.tolist(), per_tree.tolist())])
+        cuts = rule(Level(depth, tree, rows, weight, node, state, u))
         feature = np.asarray(cuts.feature, dtype=np.int32)
         split = feature >= 0
         parents = np.flatnonzero(split)

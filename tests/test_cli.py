@@ -588,6 +588,17 @@ def test_main_rejects_an_empty_omission_attack_type_list(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_omission_on_a_csv_without_attack_rows_is_a_data_error(tmp_path, capsys):
+    csv_path, schema_path = _ids_like_csv(tmp_path)
+    header, *rows = csv_path.read_text().splitlines()
+    csv_path.write_text("\n".join([header] + [row for row in rows if ",normal," in row]) + "\n")
+    cfg = _occ_config(tmp_path, dataset={"csv": str(csv_path), "schema": str(schema_path)})
+    out = tmp_path / "out"
+    assert main(["omission", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "omission needs at least one attack type" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_leak_free_mode_rejected_for_omission(tmp_path):
     csv_path, schema_path = _ids_like_csv(tmp_path)
     config_path = _occ_config(
@@ -803,15 +814,18 @@ import sys
 from occkit.cli import main
 for command in ("occ-eval", "omission"):
     assert main([command, "--config", f"configs/demo-{command}.json", "--out", sys.argv[1]]) == 0
-print("numpy.ma" in sys.modules)
+print(sorted(name for name in ("numpy.ma", *sys.argv[2:]) if name in sys.modules))
 """
+
+# Installed for the tests only; a run needs nothing beyond numpy.
+_TEST_ONLY = ("scipy", "hypothesis", "threadpoolctl", "pytest", "pytest_benchmark")
 
 
 def test_demo_runs_do_not_import_numpy_ma(tmp_path):
     # np.unique without return_* imports numpy.ma, ~12 ms of each run.
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run([sys.executable, "-c", _DEMO_RUNS, str(tmp_path)], cwd=root, env=env,
+    proc = subprocess.run([sys.executable, "-c", _DEMO_RUNS, str(tmp_path), *_TEST_ONLY], cwd=root, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -2,8 +2,12 @@ import contextlib
 import hashlib
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,6 @@ from occkit.detectors import (
     PERSIST_FORMAT_VERSION,
     DetectorConfig,
     VARIANTS,
-    _path_adjustments,
     fit,
     isolation_path_adjustment,
     load_detector,
@@ -66,14 +69,6 @@ def test_adjustment_monotone():
 def test_adjustment_rejects_negative():
     with pytest.raises(ValueError):
         isolation_path_adjustment(-1)
-
-
-def test_path_adjustments_equal_the_scalar_for_every_mass():
-    masses = np.arange(4097)
-    want = [isolation_path_adjustment(int(m)) for m in masses]
-    assert _path_adjustments(masses).tolist() == want
-    shuffled = np.random.default_rng(0).permutation(np.repeat(masses, 2))
-    assert _path_adjustments(shuffled).tolist() == [want[m] for m in shuffled]
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +343,37 @@ def test_lof_fit_and_score_memory_is_bounded(case, blocks):
     assert peak - X.nbytes < blocks * detectors._BLOCK_ELEMENTS * 8
 
 
+_OPENBLAS = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+
+_LOF_BYTES = """
+import ctypes, hashlib, sys
+import numpy as np
+from occkit.detectors import DetectorConfig, fit, score
+threads = ctypes.CDLL(sys.argv[1]).scipy_openblas_get_num_threads64_()
+rng = np.random.default_rng(13)
+X = rng.uniform(size=(3000, 122))
+det = fit(DetectorConfig("lof", k_neighbors=20), X)
+probes = rng.uniform(size=(500, 122))
+digest = hashlib.sha256(det.kdist.tobytes() + det.lrd.tobytes() + score(det, probes).tobytes())
+print(threads, digest.hexdigest())
+"""
+
+
+@pytest.mark.skipif(not _OPENBLAS, reason="numpy does not bundle scipy-openblas here")
+def test_lof_bytes_do_not_depend_on_blas_threads():
+    root = Path(__file__).resolve().parent.parent
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _LOF_BYTES, str(_OPENBLAS[0])], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        used, digest = proc.stdout.split()
+        assert used == threads
+        digests.add(digest)
+    assert len(digests) == 1
+
+
 # ---------------------------------------------------------------------------
 # stochastic forest
 
@@ -448,6 +474,17 @@ def test_forest_trees_respect_height_limit():
                 if det.left[node] < 0:
                     assert mass.get(node, 0) >= 1
                     assert det.path_length[node] == depth + isolation_path_adjustment(mass[node])
+    # Leaves of up to 4,000 copies of one value, near the top of the c(mass)
+    # table a 4,096-row subsample uses: each distinct value ends in its own
+    # leaf, bit for bit depth + c(its copies).
+    copies = [1, 2, 3, 90, 4000]
+    X = np.repeat(np.arange(5.0), copies)[:, None]
+    for variant in _FORESTS:
+        det = fit(DetectorConfig(variant=variant, n_trees=4, subsample=4096), X)
+        for root in det.roots:
+            for value, mass in enumerate(copies):
+                depth, leaf = _walk(det, root, np.array([float(value)]))
+                assert det.path_length[leaf] == depth + isolation_path_adjustment(mass)
 
 
 _FORESTS = ("isolation-forest", "stochastic-forest")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import multiprocessing
 import os
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from occkit import forest, supervised, trees
 from occkit.dataset import Dataset, SplitPlan, generate_gaussian_demo, stratified_split
+from occkit.seeding import rng_for
 from occkit.supervised import (
     ForestConfig,
     ForestModel,
@@ -385,6 +387,38 @@ def test_enumerate_combinations_binomial_identity():
     for k in range(11):
         expect = math.comb(10, k)
         assert len(enumerate_combinations(tags, k)) == expect
+
+
+def test_capped_combinations_equal_enumerate_then_pick():
+    for m in range(1, 9):
+        tags = tuple(f"a{i}" for i in range(m))
+        for k in range(1, m + 1):
+            every = enumerate_combinations(tags, k)
+            for cap in {1, 3, max(1, len(every) - 1)}:
+                plan = OmissionPlan(tags, (k,), split=SplitPlan(n_runs=1, base_seed=5), combination_cap=cap)
+                want = every
+                if len(every) > cap:
+                    rng = rng_for(5, "combination-cap", k)
+                    want = [every[i] for i in np.sort(rng.choice(len(every), size=cap, replace=False))]
+                assert supervised._capped_combinations(plan, k) == want, (m, k, cap)
+
+
+def test_capped_combinations_build_only_the_kept_ones(monkeypatch):
+    combinations = itertools.combinations
+
+    def bounded(items, k):
+        for i, combo in enumerate(combinations(items, k)):
+            assert i < 20, "built a combination past the cap"
+            yield combo
+
+    monkeypatch.setattr(itertools, "combinations", bounded)
+    tags = tuple(f"a{i:02d}" for i in range(40))
+    plan = OmissionPlan(tags, (20,), split=SplitPlan(n_runs=1))  # C(40, 20) = 1.4e11
+    combos = supervised._capped_combinations(plan, 20)
+    assert len(set(combos)) == 20
+    assert all(len(combo) == 20 and list(combo) == sorted(set(combo)) for combo in combos)
+    assert combos == sorted(combos)
+    assert supervised._capped_combinations(plan, 0) == [()]
 
 
 def _train_set(n_normal, n_attack, seed=0):

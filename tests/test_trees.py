@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,41 @@ def test_leaf_sums_branches_agree_with_row_by_row_descent(kind, monkeypatch):
         if scorer is not None:
             assert np.array_equal(scorer(probes[scored]), finish(np.array(want)[scored])), (row_block, pairs)
     assert trees.leaf_sums(*table, probes[:0]).shape == (0,)
+
+
+def test_grow_draws_each_trees_doubles_in_one_call_per_step(monkeypatch):
+    # 16 rows, 8 per tree; a node is cut on the bit of its rows' index that
+    # its depth names, when its first double is below 0.8, so trees of one
+    # step hold different numbers of open nodes.
+    draws = 3
+    rngs = [np.random.default_rng(seed) for seed in range(6)]
+    after_sample = []
+
+    def sample(rng):
+        rows = rng.permutation(16)[:8]
+        after_sample.append(copy.deepcopy(rng))
+        return rows, np.ones(rows.size), True, rows.size
+
+    steps = []
+
+    def rule(level):
+        steps.append((level.depth, level.tree, level.u))
+        cut = level.u[:, 0] < 0.8
+        right = (level.rows >> level.depth[level.node]) & 1 == 1
+        children = np.bincount(2 * level.node + right, minlength=2 * cut.size).reshape(-1, 2)[cut].ravel()
+        opened = (children > 1) & (np.repeat(level.depth[cut] + 1, 2) < 4)
+        feature = np.where(cut, 0, -1)
+        return trees.Cuts(feature, np.zeros(cut.size), np.zeros(cut.size), right, opened, children)
+
+    # 8 elements per tree against 20 pairs: two trees join at once, and a
+    # third only once the first two have drained below 12 elements.
+    monkeypatch.setattr(trees, "_CHUNK_PAIRS", 20)
+    trees.grow(rngs, sample, rule, 1, draws)
+    assert len(after_sample) == len(rngs)
+    assert any(depth.min() == 0 < depth.max() for depth, _, _ in steps)
+    assert any(np.unique(np.unique(tree, return_counts=True)[1]).size > 1 for _, tree, _ in steps)
+    for _, tree, u in steps:
+        assert u.shape == (tree.size, draws)
+        for t in np.unique(tree).tolist():
+            mine = tree == t
+            assert np.array_equal(u[mine], after_sample[t].random((int(mine.sum()), draws)))
