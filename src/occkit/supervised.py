@@ -10,7 +10,6 @@ one-class model ("occ"), which never sees an attack.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -93,6 +92,8 @@ class OmissionPlan:
         for k in self.k_values:
             if not 1 <= k <= m:
                 raise ValueError(f"k={k} out of range 1..{m}")
+            if math.comb(m, k) > 2**63 - 1:  # _capped_combinations draws ranks below C(m, k) as int64
+                raise ValueError(f"k={k} of {m} attack types gives C({m}, {k}) combinations, above 2^63 - 1")
         if self.combination_cap < 1:
             raise ValueError("combination_cap must be >= 1")
 
@@ -198,9 +199,13 @@ def run_omission_experiment(
     forest_arms = ["plain", "noise"] if plan.with_noise else ["plain"]
     arms = forest_arms + (["occ"] if occ is not None else [])
 
-    @functools.lru_cache(maxsize=1)  # a process taking consecutive cells of one run splits it once
+    last = {}  # the last run's folds: a process taking consecutive cells of one run splits it once
+
     def folds(run: int) -> tuple[Dataset, Dataset]:
-        return stratified_split(data, plan.split, run)
+        if run not in last:
+            last.clear()  # free the previous run's folds before making the next
+            last[run] = stratified_split(data, plan.split, run)
+        return last[run]
 
     def cell(key: tuple[int, tuple[int, int, tuple[str, ...]] | None]) -> list[OmissionCell]:
         run, block = key

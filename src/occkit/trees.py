@@ -7,10 +7,11 @@ forest attaches a per-node payload that only its leaves use (a CART tree's
 class counts, a detector tree's path length).
 
 `grow` builds the table of every forest: each growing tree advances one
-depth per step, trees join as earlier ones drain, and grow draws each open
-node's uniform doubles. A forest supplies only its sample and its batched
-split rule, a function of the step's `Level` alone, which cuts the open
-nodes of a step, routes their rows and says which children stay open.
+depth per step, trees join as earlier ones drain, grow draws each open
+node's doubles and records each node once, placed by id before a sort by
+tree. A forest supplies only its sample and its batched split rule, a
+function of its `Level`, which cuts a step's open nodes, routes their rows
+and says which children stay open.
 `leaf_sums` adds up the payload of the leaf each row reaches in every tree,
 in one tiled walk: a block of rows against a chunk of trees, one level per
 step. The tests hold `grow` to `grow_oracle` (`tests/oracles.py`), which
@@ -30,7 +31,7 @@ __all__ = ["Cuts", "Level", "grow", "leaf_sums"]
 # `forest._best_cuts` histograms at most this many cells at once, and
 # `leaf_sums` tiles trees the same way over a block of rows. At 1 << 14 the
 # 100-tree CART fit on 1,300 rows of tests/test_supervised.py peaks at
-# 3.71 MB of traced heap, at the final sort of the node table; its steps
+# 2.42 MB of traced heap, at the final sort of the node table; its steps
 # peak near 2.3 MB.
 _CHUNK_PAIRS = 1 << 14
 
@@ -90,17 +91,19 @@ def grow(
     depth per step, and trees join in order, at depth 0, while the step's
     elements times pairs_per_row stay within _CHUNK_PAIRS (a tree alone
     always may): a tree joins as soon as the earlier ones have drained
-    enough. Only open nodes reach the rule, with their rows; a leaf is
-    recorded when it is made and its rows are dropped. The table does not
-    depend on when a tree joins. Each tree's nodes are stored together, in
-    level order, left child before right.
+    enough. A made node, root or child, is numbered and, if a leaf, recorded
+    at once, its rows dropped; an open node reaches the rule with its rows
+    and is recorded once, with its cut. The records are placed by id, then
+    sorted by tree: each tree's nodes are stored together, in level order,
+    left child before right, whenever the tree joined.
     """
-    made = []  # batches of nodes, in the order they are numbered: (tree, feature, value, left, payload)
+    records = []  # (id, tree, feature, value, left, payload) of recorded nodes, a batch at a time
     n_ids = 0  # nodes are numbered once, in the order they are made
-    tree = depth = rows = node = np.zeros(0, dtype=np.int64)  # tree and depth of each open node
+    # Nodes made, not yet numbered: tree, depth, whether open, state if open else payload; and open ones' rows.
+    tree = depth = rows = node = np.zeros(0, dtype=np.int64)
     weight = np.zeros(0)
-    state = None
-    at = []  # (batch, index in it) of the open nodes, a batch at a time, in order
+    opened = np.zeros(0, dtype=bool)
+    made = None
     joined = 0  # trees that have joined so far
     drawn = None  # the next tree's sample, once drawn
     while True:
@@ -117,19 +120,22 @@ def grow(
             drawn = None
             joined += 1
         if samples:
-            opened = np.array([is_open for _, _, is_open, _ in samples])
-            kept = [s for s, is_open in zip(samples, opened.tolist()) if is_open]
+            kept = [s for s in samples if s[2]]
             sizes = [picked.size for picked, _, _, _ in kept]
-            node = np.concatenate([node, np.repeat(np.arange(tree.size, tree.size + len(kept)), sizes)])
+            node = np.concatenate([node, np.repeat(np.count_nonzero(opened) + np.arange(len(kept)), sizes)])
             rows = np.concatenate([rows] + [picked for picked, _, _, _ in kept])
             weight = np.concatenate([weight] + [times for _, times, _, _ in kept], dtype=np.float64)
-            batch = _batch(np.arange(joined - len(samples), joined), np.asarray([root for _, _, _, root in samples]))
-            made.append(batch)
-            n_ids += len(samples)
-            at.append((batch, np.flatnonzero(opened)))
-            tree = np.concatenate([tree, batch[0][opened]])
-            depth = np.concatenate([depth, np.zeros(len(kept), dtype=np.int64)])
-            state = batch[4][opened] if state is None else np.concatenate([state, batch[4][opened]])
+            tree = np.concatenate([tree, np.arange(joined - len(samples), joined)])
+            depth = np.concatenate([depth, np.zeros(len(samples), dtype=np.int64)])
+            opened = np.concatenate([opened, [is_open for _, _, is_open, _ in samples]])
+            at_root = np.asarray([root for _, _, _, root in samples])
+            made = at_root if made is None else np.concatenate([made, at_root])
+        # Number the made nodes, record the closed ones as leaves, and keep the open ones.
+        ids = np.arange(n_ids, n_ids + tree.size)
+        n_ids += tree.size
+        closed = ~opened
+        records.append((ids[closed], tree[closed], -1, 0.0, -1, made[closed]))
+        ids, tree, depth, state = ids[opened], tree[opened], depth[opened], made[opened]
         k = tree.size
         if k == 0:
             break
@@ -139,48 +145,35 @@ def grow(
         feature = np.asarray(cuts.feature, dtype=np.int32)
         split = feature >= 0
         parents = np.flatnonzero(split)
-        children = 2 * parents.size
         left = np.full(k, -1, dtype=np.int32)
         left[parents] = n_ids + 2 * np.arange(parents.size)
-        done = 0
-        for batch, index in at:
-            part = slice(done, done + index.size)
-            for column, values in zip(batch[1:], (feature, cuts.value, left, cuts.payload)):
-                column[index] = values[part]
-            done += index.size
-        batch = _batch(np.repeat(tree[parents], 2), cuts.child)
-        made.append(batch)
-        n_ids += children
+        records.append((ids, tree, feature, cuts.value, left, cuts.payload))
         opened = np.asarray(cuts.open, dtype=bool)
-        at = [(batch, np.flatnonzero(opened))]
         # Each element's child among the cut nodes' children; an element of
         # an uncut node points past them, at a child that is never open.
-        child = np.where(split, 2 * np.cumsum(split) - 2, children)[node]
+        child = np.where(split, 2 * np.cumsum(split) - 2, 2 * parents.size)[node]
         child += cuts.right
         # Positions, not a mask: a mask this scattered indexes several times slower.
         keep = np.flatnonzero(np.append(opened, [False, False])[child])
         rows, weight = rows[keep], weight[keep]
         node = (np.cumsum(opened) - 1)[child[keep]]
-        tree, state = batch[0][opened], cuts.child[opened]
-        depth = np.repeat(depth[parents] + 1, 2)[opened]
-    # Renumber tree by tree; a stable sort keeps each tree's level order. It
-    # runs on the narrowest integer type that holds a tree index: on a key of
-    # at most 16 bits numpy sorts by radix.
-    tree, feature, value, left, payload = (np.concatenate(c) for c in zip(*made))
-    order = np.argsort(tree.astype(np.min_scalar_type(len(rngs) - 1)), kind="stable")
+        tree, depth, made = np.repeat(tree[parents], 2), np.repeat(depth[parents] + 1, 2), cuts.child
+    # Place every record by id, then renumber tree by tree: a stable sort keeps each tree's level
+    # order, on the narrowest integer type that holds a tree index (at most 16 bits sort by radix).
+    table = [np.empty(n_ids, dtype=t) for t in (np.min_scalar_type(len(rngs) - 1), np.int32, np.float64, np.int32)]
+    table.append(np.empty_like(records[0][5], shape=(n_ids, *records[0][5].shape[1:])))
+    for ids, *columns in records:
+        for placed, values in zip(table, columns):
+            placed[ids] = values
+    del records  # before the sort copies the table once more
+    tree, feature, value, left, payload = table
+    order = np.argsort(tree, kind="stable")
     new_id = np.empty_like(order)
     new_id[order] = np.arange(order.size)
     left = left[order]
     left[left >= 0] = new_id[left[left >= 0]]
     roots = np.searchsorted(tree[order], np.arange(len(rngs))).astype(np.int32)
     return feature[order], value[order], left, roots, payload[order]
-
-
-def _batch(tree: np.ndarray, payload: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(tree, feature, value, left, payload) of new nodes, each a leaf until
-    grow writes the cut of an open one; payload is taken as the leaves'."""
-    m = tree.size
-    return tree, np.full(m, -1, dtype=np.int32), np.zeros(m), np.full(m, -1, dtype=np.int32), payload
 
 
 def leaf_sums(

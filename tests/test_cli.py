@@ -588,6 +588,22 @@ def test_main_rejects_an_empty_omission_attack_type_list(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_omission_rejects_a_k_with_more_combinations_than_the_cap_can_draw(tmp_path, capsys):
+    csv_path, schema_path = _ids_like_csv(tmp_path)
+    header, *rows = csv_path.read_text().splitlines()
+    attacks = [i for i, row in enumerate(rows) if ",normal," not in row]
+    for j, i in enumerate(attacks):  # 100 attack rows over 70 tags
+        prefix, _, difficulty = rows[i].rsplit(",", 2)
+        rows[i] = f"{prefix},t{j % 70:02d},{difficulty}"
+    csv_path.write_text("\n".join([header] + rows) + "\n")
+    dataset = {"csv": str(csv_path), "schema": str(schema_path)}
+    cfg = _occ_config(tmp_path, dataset=dataset, omission={"k_values": [35]})
+    out = tmp_path / "out"
+    assert main(["omission", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "C(70, 35) combinations, above 2^63 - 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_omission_on_a_csv_without_attack_rows_is_a_data_error(tmp_path, capsys):
     csv_path, schema_path = _ids_like_csv(tmp_path)
     header, *rows = csv_path.read_text().splitlines()

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -514,6 +515,23 @@ def test_omission_occ_arm_runs_once_per_run_on_the_forest_folds(monkeypatch):
         assert cell.attack_recall == pytest.approx(100.0 * np.mean(test.X[test.y == 1, 0] > 0.5))
 
 
+def test_omission_grid_frees_a_runs_folds_before_splitting_the_next(monkeypatch):
+    demo = generate_gaussian_demo(4, n_normal=120, n_attack=40)
+    plan = OmissionPlan(attack_types=demo.attack_tags(), k_values=(1,), split=SplitPlan(n_runs=3, base_seed=2))
+    made, alive = [], []
+    real_split = supervised.stratified_split
+
+    def split(data, split_plan, run):
+        alive.append(sum(ref() is not None for ref in made))
+        folds = real_split(data, split_plan, run)
+        made.extend(weakref.ref(fold) for fold in folds)
+        return folds
+
+    monkeypatch.setattr(supervised, "stratified_split", split)
+    run_omission_experiment(demo, plan, ForestConfig(n_trees=3), workers=1, occ=_occ_by_first_feature)
+    assert alive == [0, 0, 0]
+
+
 def _occ_by_first_feature(run, train, test):
     return (test.X[:, 0] > 0.5).astype(np.int64)
 
@@ -631,6 +649,17 @@ def test_omission_grid_finishes_when_a_training_fold_lacks_a_withheld_type():
 def test_omission_plan_rejects_a_repeated_attack_type():
     with pytest.raises(ValueError, match="repeat"):
         OmissionPlan(attack_types=("a1", "a1"), k_values=(1,), split=SplitPlan(n_runs=1))
+
+
+def test_omission_plan_rejects_a_k_with_more_combinations_than_the_cap_can_draw():
+    split = SplitPlan(n_runs=1)
+    want = r"k=35 of 70 attack types gives C\(70, 35\) combinations, above 2\^63 - 1"
+    with pytest.raises(ValueError, match=want):
+        OmissionPlan(tuple(f"a{i:02d}" for i in range(70)), (1, 35), split=split)
+    with pytest.raises(ValueError, match=r"C\(67, 33\)"):
+        OmissionPlan(tuple(f"a{i:02d}" for i in range(67)), (33,), split=split)
+    plan = OmissionPlan(tuple(f"a{i:02d}" for i in range(66)), (33,), split=split)  # C(66, 33) < 2^63
+    assert len(set(supervised._capped_combinations(plan, 33))) == 20
 
 
 def test_omission_combination_cap():

@@ -138,3 +138,46 @@ def test_grow_draws_each_trees_doubles_in_one_call_per_step(monkeypatch):
         for t in np.unique(tree).tolist():
             mine = tree == t
             assert np.array_equal(u[mine], after_sample[t].random((int(mine.sum()), draws)))
+
+
+def test_grow_records_closed_roots_declined_nodes_and_late_trees_exactly(monkeypatch):
+    # A node cuts on the bit of its rows' index that its depth names, and
+    # declines when its rows all share that bit. Tree 1's root is closed,
+    # next to the open roots of trees 0 and 2; tree 2's root is declined;
+    # with 6 pairs, tree 3 joins at step 1, beside tree 0's depth-1 nodes.
+    steps = []
+
+    def rule(level):
+        steps.append((level.tree.tolist(), level.depth.tolist()))
+        state = level.state
+        right = (level.rows >> level.depth[level.node]) & 1 == 1
+        counts = np.bincount(2 * level.node + right, minlength=2 * state.size).reshape(-1, 2)
+        sums = np.bincount(2 * level.node + right, weights=level.rows, minlength=2 * state.size).reshape(-1, 2)
+        cut = (counts > 0).all(axis=1)
+        opened = counts[cut].ravel() > 1
+        child = np.where(opened, counts[cut].ravel(), 100 + sums[cut].ravel())
+        feature = np.where(cut, level.depth, -1)
+        payload = np.where(cut, -state, 50 + state)
+        return trees.Cuts(feature, np.where(cut, state + 0.5, 0.0), payload, right, opened, child)
+
+    want = [
+        [0, 1, 1, -1, -1, -1, -1, -1, -1, 0, -1, -1],
+        [4.5, 2.5, 2.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.5, 0.0, 0.0],
+        [1, 3, 5, -1, -1, -1, -1, -1, -1, 10, -1, -1],
+        [0, 7, 8, 9],
+        [-4.0, -2.0, -2.0, 100.0, 102.0, 101.0, 103.0, 7.0, 52.0, -2.0, 106.0, 105.0],
+    ]
+    for pairs in (6, 1, 1 << 14):
+        steps.clear()
+        samples = iter([([0, 1, 2, 3], True, 4.0), ([], False, 7.0), ([4, 6], True, 2.0), ([5, 6], True, 2.0)])
+
+        def sample(rng):
+            rows, is_open, at_root = next(samples)
+            return np.array(rows, dtype=np.int64), np.ones(len(rows)), is_open, at_root
+
+        monkeypatch.setattr(trees, "_CHUNK_PAIRS", pairs)
+        table = trees.grow([np.random.default_rng(t) for t in range(4)], sample, rule, 1, 1)
+        assert [column.dtype for column in table] == [np.int32, np.float64, np.int32, np.int32, np.float64]
+        assert [column.tolist() for column in table] == want, pairs
+        if pairs == 6:
+            assert steps == [([0, 2], [0, 0]), ([0, 0, 3], [1, 1, 0])]
